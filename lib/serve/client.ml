@@ -14,11 +14,14 @@ let connect ~host ~port =
       | () -> ()
       | exception Unix.Unix_error _ -> ());
       raise e);
+    Protocol.set_nodelay fd;
     { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
   with
   | c -> Ok c
   | exception Unix.Unix_error (e, _, _) ->
     Error (Printf.sprintf "connect %s:%d: %s" host port (Unix.error_message e))
+
+let fd c = c.fd
 
 let close c =
   (* closing the out channel closes the underlying fd *)

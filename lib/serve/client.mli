@@ -13,6 +13,9 @@ type t
 
 val connect : host:string -> port:int -> (t, string) result
 
+val fd : t -> Unix.file_descr
+(** The connection's socket ([TCP_NODELAY] already set). *)
+
 val close : t -> unit
 
 val call : t -> Protocol.request -> (Protocol.response, string) result

@@ -22,6 +22,8 @@ module Framer = struct
 
   let feed t s = Buffer.add_string t.buf s
 
+  let feed_bytes t b off len = Buffer.add_subbytes t.buf b off len
+
   let buffered t = Buffer.length t.buf - t.start
 
   let compact t =
@@ -68,6 +70,13 @@ let read_frame ic =
 let write_frame oc payload =
   output_string oc (encode_frame payload);
   flush oc
+
+(* Best effort: a socket the peer already reset just keeps its default,
+   and a failure here must not take the accept path down. *)
+let set_nodelay fd =
+  match Unix.setsockopt fd Unix.TCP_NODELAY true with
+  | () -> ()
+  | exception Unix.Unix_error _ -> ()
 
 (* ------------------------------------------------------------- requests *)
 

@@ -35,6 +35,11 @@ module Framer : sig
   val feed : t -> string -> unit
   (** Append raw bytes received from the peer. *)
 
+  val feed_bytes : t -> bytes -> int -> int -> unit
+  (** [feed_bytes t b off len] appends [len] bytes of [b] from [off]: the
+      select loop feeds its one read buffer without an intermediate
+      string copy. *)
+
   val next : t -> (string option, string) result
   (** [Ok (Some payload)] — one complete frame extracted; call again, more
       may be buffered.  [Ok None] — need more bytes.  [Error] — the stream
@@ -51,6 +56,13 @@ val read_frame : in_channel -> (string option, string) result
 
 val write_frame : out_channel -> string -> unit
 (** [encode_frame] + output + flush. *)
+
+val set_nodelay : Unix.file_descr -> unit
+(** Turn off Nagle's algorithm ([TCP_NODELAY]) on a connected socket, so
+    each frame goes on the wire when it is written instead of waiting for
+    the peer's ACK of the previous one.  Both ends of a daemon connection
+    set it: the server on every accepted socket, {!Client.connect} on its
+    own.  Errors are ignored. *)
 
 (** {1 Requests} *)
 

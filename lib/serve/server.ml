@@ -42,8 +42,9 @@ let default_config =
 type conn = {
   fd : Unix.file_descr;
   framer : Protocol.Framer.t;
-  out : Buffer.t;
-  mutable out_pos : int;  (* bytes of [out] already written *)
+  out : string Queue.t;  (* encoded answer frames not yet fully written *)
+  mutable out_off : int;  (* bytes of the head frame already written *)
+  mutable out_bytes : int;  (* unwritten bytes across [out] *)
   mutable closing : bool;  (* stop reading; close once [out] is flushed *)
   mutable closed : bool;  (* fd closed, conn removed from [st.conns] *)
 }
@@ -55,11 +56,12 @@ type state = {
   mutable listen_fd : Unix.file_descr option;
   mutable conns : conn list;
   queue : (conn * float * Protocol.request) Queue.t;
+  read_buf : Bytes.t;  (* shared by every read: the loop is single-domain *)
   mutable draining : bool;
   mutable stop : bool;
 }
 
-let pending_out c = Buffer.length c.out - c.out_pos
+let pending_out c = c.out_bytes
 
 let close_conn st c =
   if not c.closed then begin
@@ -71,13 +73,42 @@ let close_conn st c =
     st.conns <- List.filter (fun c' -> c' != c) st.conns
   end
 
+(* Write queued frames until the output is empty or the socket would
+   block; what is left waits for the socket to show up writable. *)
+let rec flush_out st c =
+  match Queue.peek_opt c.out with
+  | None -> ()
+  | Some frame -> (
+    let len = String.length frame - c.out_off in
+    match Unix.write_substring c.fd frame c.out_off len with
+    | n ->
+      c.out_bytes <- c.out_bytes - n;
+      if n = len then begin
+        ignore (Queue.pop c.out);
+        c.out_off <- 0;
+        flush_out st c
+      end
+      else c.out_off <- c.out_off + n
+    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+      close_conn st c
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+      ->
+      ())
+
 let enqueue_out st c payload =
   if not c.closed then begin
-    Buffer.add_string c.out (Protocol.encode_frame payload);
+    let frame = Protocol.encode_frame payload in
+    let was_empty = Queue.is_empty c.out in
+    Queue.add frame c.out;
+    c.out_bytes <- c.out_bytes + String.length frame;
     (* a client that pipelines requests but never reads answers must not
        grow [out] without bound: admission caps the queue, this caps the
        response side *)
     if pending_out c > st.cfg.max_pending_out then close_conn st c
+    else if was_empty then
+      (* write-through: the answer goes out in the iteration that produced
+         it; only a full socket buffer defers it to the select write set *)
+      flush_out st c
   end
 
 (* ------------------------------------------------------------- pressure *)
@@ -146,11 +177,11 @@ let begin_drain st =
 (* ------------------------------------------------------------------ I/O *)
 
 let handle_readable st c =
-  let buf = Bytes.create 65536 in
+  let buf = st.read_buf in
   match Unix.read c.fd buf 0 (Bytes.length buf) with
   | 0 -> close_conn st c
   | n ->
-    Protocol.Framer.feed c.framer (Bytes.sub_string buf 0 n);
+    Protocol.Framer.feed_bytes c.framer buf 0 n;
     let rec drain_frames () =
       match Protocol.Framer.next c.framer with
       | Ok None -> ()
@@ -169,34 +200,18 @@ let handle_readable st c =
       Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
     ()
 
-let handle_writable st c =
-  let len = pending_out c in
-  if len > 0 then begin
-    let s = Buffer.sub c.out c.out_pos len in
-    match Unix.write_substring c.fd s 0 len with
-    | n ->
-      c.out_pos <- c.out_pos + n;
-      if pending_out c = 0 then begin
-        Buffer.clear c.out;
-        c.out_pos <- 0
-      end
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      close_conn st c
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-      ()
-  end
-
-let handle_accept st fd =
+let handle_accept st ~on_accept fd =
   match Unix.accept fd with
   | cfd, _ -> (
     match Fault.point st.faults "serve.accept" with
     | () ->
       Unix.set_nonblock cfd;
+      Protocol.set_nodelay cfd;
       st.conns <-
-        { fd = cfd; framer = Protocol.Framer.create (); out = Buffer.create 512;
-          out_pos = 0; closing = false; closed = false }
-        :: st.conns
+        { fd = cfd; framer = Protocol.Framer.create (); out = Queue.create ();
+          out_off = 0; out_bytes = 0; closing = false; closed = false }
+        :: st.conns;
+      on_accept cfd
     | exception Fault.Injected _ | exception Budget.Exceeded _ -> (
       (* the accepted connection is dropped on the floor; accepting first
          keeps a sticky fault from turning select into a busy loop *)
@@ -240,7 +255,7 @@ let run_one st (c, received_at, req) =
 
 (* ------------------------------------------------------------ main loop *)
 
-let run ?(config = default_config) ?faults ?on_listen () =
+let run ?(config = default_config) ?faults ?on_listen ?(on_accept = ignore) () =
   let faults = match faults with Some f -> f | None -> Fault.create () in
   let handler =
     Handler.create ~default_deadline_ms:config.default_deadline_ms
@@ -267,6 +282,7 @@ let run ?(config = default_config) ?faults ?on_listen () =
       listen_fd = Some listen_fd;
       conns = [];
       queue = Queue.create ();
+      read_buf = Bytes.create 65536;
       draining = false;
       stop = false;
     }
@@ -323,7 +339,7 @@ let run ?(config = default_config) ?faults ?on_listen () =
           begin_drain st
         end;
         (match st.listen_fd with
-        | Some fd when List.mem fd rs -> handle_accept st fd
+        | Some fd when List.mem fd rs -> handle_accept st ~on_accept fd
         | Some _ | None -> ());
         List.iter
           (fun c ->
@@ -331,7 +347,7 @@ let run ?(config = default_config) ?faults ?on_listen () =
               handle_readable st c)
           st.conns;
         List.iter
-          (fun c -> if (not c.closed) && List.mem c.fd ws then handle_writable st c)
+          (fun c -> if (not c.closed) && List.mem c.fd ws then flush_out st c)
           st.conns;
         (* one request per wakeup keeps the loop responsive to signals and
            keeps queue-depth pressure readings honest *)

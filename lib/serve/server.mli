@@ -17,6 +17,10 @@
     (see {!Handler}); an expired entry is shed with a typed [deadline]
     answer instead of being run hopelessly late.
 
+    {b Output.}  Accepted sockets have [TCP_NODELAY] set, and an answer
+    is written in the loop iteration that computed it; only what the
+    socket buffer cannot take waits for [select] to report it writable.
+
     {b Signals.}  [run] installs SIGINT/SIGTERM handlers (self-pipe trick)
     for drain-then-exit: stop accepting, answer everything queued, flush,
     close.  The [shutdown] verb triggers the same drain.  Handlers are
@@ -56,12 +60,15 @@ val run :
   ?config:config ->
   ?faults:Treediff_util.Fault.t ->
   ?on_listen:(int -> unit) ->
+  ?on_accept:(Unix.file_descr -> unit) ->
   unit ->
   unit
 (** Bind, listen, serve until drained by SIGINT/SIGTERM or a [shutdown]
     request.  [on_listen] receives the actual bound port once listening
-    (useful with [port = 0]).  [faults] defaults to a registry armed from
-    [TREEDIFF_FAULT]. *)
+    (useful with [port = 0]); [on_accept] sees each kept connection's
+    socket, already non-blocking with [TCP_NODELAY] set, on the server's
+    domain (for inspection only: the loop owns the descriptor).  [faults]
+    defaults to a registry armed from [TREEDIFF_FAULT]. *)
 
 val serve_stdio :
   ?config:config ->

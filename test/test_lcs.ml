@@ -50,41 +50,53 @@ let test_lcs_values () =
   Alcotest.(check int) "interleaved length" 3 (List.length vals);
   List.iter (fun (x, y) -> Alcotest.(check int) "pair equal" x y) vals
 
+(* Input sizes.  QCheck2's default [list] draws lengths up to ~10k (p90
+   around 670), and the O(nm) DP oracle then spends the whole suite's
+   time on a handful of huge pairs.  The properties draw mostly short
+   sequences, where the edge cases live (empty, singleton, all-equal),
+   with a tail into the hundreds; long inputs are a fixed set of cases
+   below, checked against the same properties. *)
+let len = QCheck2.Gen.(frequency [ (8, int_bound 24); (2, int_range 25 300) ])
+
+let seq alpha = QCheck2.Gen.(list_size len (int_bound alpha))
+
+let on_arrays f (la, lb) = f (Array.of_list la) (Array.of_list lb)
+
+let myers_matches_dp a b =
+  Myers.lcs_length ~equal:ieq a b = Dp.lcs_length ~equal:ieq a b
+
+(* The result is a strictly increasing common subsequence. *)
+let myers_increasing a b =
+  let pairs = Myers.lcs ~equal:ieq a b in
+  let rec ok prev = function
+    | [] -> true
+    | (i, j) :: rest ->
+      i >= 0 && i < Array.length a && j >= 0 && j < Array.length b
+      && a.(i) = b.(j)
+      && (match prev with Some (pi, pj) -> i > pi && j > pj | None -> true)
+      && ok (Some (i, j)) rest
+  in
+  ok None pairs
+
+(* DP's own backtrack agrees with its table. *)
+let dp_consistent a b =
+  List.length (Dp.lcs ~equal:ieq a b) = Dp.lcs_length ~equal:ieq a b
+
 (* Myers length equals DP-oracle length on random inputs. *)
 let myers_vs_dp_prop =
   QCheck2.Test.make ~name:"myers length = dp length" ~count:1000
-    QCheck2.Gen.(
-      pair
-        (pair (list (int_bound 5)) (list (int_bound 5)))
-        (int_range 1 6))
-    (fun ((la, lb), _alpha) ->
-      let a = Array.of_list la and b = Array.of_list lb in
-      Myers.lcs_length ~equal:ieq a b = Dp.lcs_length ~equal:ieq a b)
+    QCheck2.Gen.(pair (pair (seq 5) (seq 5)) (int_range 1 6))
+    (fun (lists, _alpha) -> on_arrays myers_matches_dp lists)
 
-(* The result is a strictly increasing common subsequence. *)
 let myers_increasing_prop =
   QCheck2.Test.make ~name:"myers pairs strictly increasing and valid" ~count:1000
-    QCheck2.Gen.(pair (list (int_bound 4)) (list (int_bound 4)))
-    (fun (la, lb) ->
-      let a = Array.of_list la and b = Array.of_list lb in
-      let pairs = Myers.lcs ~equal:ieq a b in
-      let rec ok prev = function
-        | [] -> true
-        | (i, j) :: rest ->
-          i >= 0 && i < Array.length a && j >= 0 && j < Array.length b
-          && a.(i) = b.(j)
-          && (match prev with Some (pi, pj) -> i > pi && j > pj | None -> true)
-          && ok (Some (i, j)) rest
-      in
-      ok None pairs)
+    QCheck2.Gen.(pair (seq 4) (seq 4))
+    (on_arrays myers_increasing)
 
-(* DP's own backtrack agrees with its table. *)
 let dp_consistency_prop =
   QCheck2.Test.make ~name:"dp pairs length equals dp length" ~count:500
-    QCheck2.Gen.(pair (list (int_bound 3)) (list (int_bound 3)))
-    (fun (la, lb) ->
-      let a = Array.of_list la and b = Array.of_list lb in
-      List.length (Dp.lcs ~equal:ieq a b) = Dp.lcs_length ~equal:ieq a b)
+    QCheck2.Gen.(pair (seq 3) (seq 3))
+    (on_arrays dp_consistent)
 
 (* ---------------------------------------------------------------- Subseq *)
 
@@ -96,37 +108,89 @@ let test_subseq_known () =
   Alcotest.(check (list int)) "counts" [ 2; 1; 1 ] [ k; d; i ]
 
 (* Every index of both arrays appears exactly once, in order. *)
-let subseq_coverage_prop =
-  QCheck2.Test.make ~name:"subseq covers all indices in order" ~count:500
-    QCheck2.Gen.(pair (list (int_bound 4)) (list (int_bound 4)))
-    (fun (la, lb) ->
-      let a = Array.of_list la and b = Array.of_list lb in
-      let items = Subseq.diff ~equal:ieq a b in
-      let ai = ref 0 and bi = ref 0 and ok = ref true in
-      List.iter
-        (fun item ->
-          match item with
-          | Subseq.Keep (i, j) ->
-            if i <> !ai || j <> !bi then ok := false;
-            incr ai;
-            incr bi
-          | Subseq.Del i ->
-            if i <> !ai then ok := false;
-            incr ai
-          | Subseq.Ins j ->
-            if j <> !bi then ok := false;
-            incr bi)
-        items;
-      !ok && !ai = Array.length a && !bi = Array.length b)
+let subseq_covers a b =
+  let items = Subseq.diff ~equal:ieq a b in
+  let ai = ref 0 and bi = ref 0 and ok = ref true in
+  List.iter
+    (fun item ->
+      match item with
+      | Subseq.Keep (i, j) ->
+        if i <> !ai || j <> !bi then ok := false;
+        incr ai;
+        incr bi
+      | Subseq.Del i ->
+        if i <> !ai then ok := false;
+        incr ai
+      | Subseq.Ins j ->
+        if j <> !bi then ok := false;
+        incr bi)
+    items;
+  !ok && !ai = Array.length a && !bi = Array.length b
 
 (* Keeps in a Subseq.diff = LCS length. *)
+let subseq_keeps a b =
+  let k, _, _ = Subseq.counts (Subseq.diff ~equal:ieq a b) in
+  k = Myers.lcs_length ~equal:ieq a b
+
+let subseq_coverage_prop =
+  QCheck2.Test.make ~name:"subseq covers all indices in order" ~count:500
+    QCheck2.Gen.(pair (seq 4) (seq 4))
+    (on_arrays subseq_covers)
+
 let subseq_keeps_prop =
   QCheck2.Test.make ~name:"subseq keeps equal lcs length" ~count:500
-    QCheck2.Gen.(pair (list (int_bound 4)) (list (int_bound 4)))
-    (fun (la, lb) ->
-      let a = Array.of_list la and b = Array.of_list lb in
-      let k, _, _ = Subseq.counts (Subseq.diff ~equal:ieq a b) in
-      k = Myers.lcs_length ~equal:ieq a b)
+    QCheck2.Gen.(pair (seq 4) (seq 4))
+    (on_arrays subseq_keeps)
+
+(* ---------------------------------------------------------- long inputs *)
+
+(* The long inputs the default generator used to supply, as a fixed,
+   seeded set: long against long (around the old p90 and beyond), very
+   long against short or empty (Myers keeps O(D^2) trace, so 4000 rather
+   than the old ~10k maximum bounds it to tens of MB), and structured
+   pairs — equal, reversed, lightly edited — where the edit distance is
+   zero, maximal or small. *)
+let long_cases =
+  let st = Random.State.make [| 11 |] in
+  let rand n alpha = Array.init n (fun _ -> Random.State.int st (alpha + 1)) in
+  let edited a =
+    Array.of_list
+      (List.concat_map
+         (fun x ->
+           match Random.State.int st 20 with
+           | 0 -> []
+           | 1 -> [ x; Random.State.int st 6 ]
+           | _ -> [ x ])
+         (Array.to_list a))
+  in
+  let long = rand 1500 5 in
+  [
+    ("random 700 x 650, alphabet 5", rand 700 5, rand 650 5);
+    ("random 1200 x 1000, alphabet 2", rand 1200 2, rand 1000 2);
+    ("random 1500 x 1500, alphabet 6", rand 1500 6, rand 1500 6);
+    ("random 4000 x 40, alphabet 3", rand 4000 3, rand 40 3);
+    ("random 40 x 4000, alphabet 4", rand 40 4, rand 4000 4);
+    ("empty x 4000", [||], rand 4000 5);
+    ("4000 x empty", rand 4000 5, [||]);
+    ("equal 1500", long, Array.copy long);
+    ("reversed 1500", long, Array.of_list (List.rev (Array.to_list long)));
+    ("edited 1500", long, edited long);
+  ]
+
+let test_long_cases () =
+  List.iter
+    (fun (name, a, b) ->
+      List.iter
+        (fun (prop, f) ->
+          Alcotest.(check bool) (Printf.sprintf "%s: %s" name prop) true (f a b))
+        [
+          ("myers length = dp length", myers_matches_dp);
+          ("myers pairs valid", myers_increasing);
+          ("dp pairs consistent", dp_consistent);
+          ("subseq covers", subseq_covers);
+          ("subseq keeps", subseq_keeps);
+        ])
+    long_cases
 
 let () =
   Alcotest.run "lcs"
@@ -148,4 +212,5 @@ let () =
           QCheck_alcotest.to_alcotest subseq_coverage_prop;
           QCheck_alcotest.to_alcotest subseq_keeps_prop;
         ] );
+      ("long", [ Alcotest.test_case "fixed long inputs" `Quick test_long_cases ]);
     ]

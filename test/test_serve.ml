@@ -529,11 +529,12 @@ let with_hangup_server f =
         let rec loop () =
           match Unix.accept srv with
           | fd, _ ->
+            (* count before the hang-up: the client returns as soon as it
+               sees the close, and must find this connection counted *)
+            let last = Atomic.get stop in
+            if not last then Atomic.incr accepted;
             Unix.close fd;
-            if not (Atomic.get stop) then begin
-              Atomic.incr accepted;
-              loop ()
-            end
+            if not last then loop ()
           | exception Unix.Unix_error _ -> ()
         in
         loop ())
@@ -622,12 +623,14 @@ let best_effort_shutdown port =
     | Ok _ | Error _ -> ());
     Client.close c
 
-let with_server ?(config = Server.default_config) ?faults f =
+let with_server ?(config = Server.default_config) ?faults ?on_accept f =
   let port = Atomic.make 0 in
   let config = { config with Server.port = 0 } in
   let srv =
     Domain.spawn (fun () ->
-        Server.run ~config ?faults ~on_listen:(fun p -> Atomic.set port p) ())
+        Server.run ~config ?faults ?on_accept
+          ~on_listen:(fun p -> Atomic.set port p)
+          ())
   in
   let rec wait n =
     if Atomic.get port = 0 then
@@ -810,6 +813,171 @@ let test_server_output_cap () =
       Alcotest.(check bool) "over-cap answer drops the connection" true (probe ());
       (* the server is still alive and applies the same policy afresh *)
       Alcotest.(check bool) "still serving (and still capping)" true (probe ()))
+
+let test_nodelay_both_ends () =
+  (* read back, not timed: Nagle's algorithm is off on the daemon's
+     accepted socket and on the one Client.connect returns *)
+  let accepted = Atomic.make None in
+  let on_accept fd =
+    if Atomic.get accepted = None then
+      Atomic.set accepted (Some (Unix.getsockopt fd Unix.TCP_NODELAY))
+  in
+  with_server ~on_accept (fun port ->
+      let raw = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Alcotest.(check bool) "a plain socket reads back off" false
+        (Unix.getsockopt raw Unix.TCP_NODELAY);
+      Unix.close raw;
+      (match Client.connect ~host:"127.0.0.1" ~port with
+      | Error e -> Alcotest.failf "connect: %s" e
+      | Ok c ->
+        Alcotest.(check bool) "client socket" true
+          (Unix.getsockopt (Client.fd c) Unix.TCP_NODELAY);
+        (* the answer proves the server accepted (and configured) it *)
+        (match Client.call c (req "ping" (Json.Obj [])) with
+        | Ok (Protocol.Ok_resp _) -> ()
+        | Ok (Protocol.Err_resp { message; _ }) -> Alcotest.failf "ping: %s" message
+        | Error e -> Alcotest.failf "ping: %s" e);
+        Client.close c);
+      Alcotest.(check (option bool)) "accepted socket" (Some true)
+        (Atomic.get accepted);
+      shutdown port)
+
+(* Large answers for the write-through fallback: a diff that inserts one
+   ~140 KB leaf, so every answer carries the whole value.  Repeats hit the
+   result cache, which keeps the test about I/O, not matching. *)
+let big_value =
+  String.concat " " (List.init 28000 (fun i -> Printf.sprintf "w%d" (i mod 997)))
+
+let big_request id =
+  Protocol.encode_frame
+    (Json.to_string
+       (Protocol.request_to_json
+          (req ~id "diff"
+             (Json.Obj
+                [
+                  ("old", Json.Str "(D)");
+                  ("new", Json.Str (Printf.sprintf "(D (S %S))" big_value));
+                ]))))
+
+(* About 9 MB of answers, to overflow the loopback socket buffers: the
+   sender's autotunes up to 4 MiB by default, and the reader's window is
+   kept small below. *)
+let big_count = 64
+
+(* deadlines out of the way: a queued request must never be shed here *)
+let io_config =
+  { Server.default_config with
+    Server.default_deadline_ms = 60_000.; max_deadline_ms = 60_000. }
+
+(* [f] gets a connected socket with a small receive window.  The socket
+   is closed however [f] ends: a failed check must not leave unread
+   answers behind for the server's drain to wait on. *)
+let with_small_window port f =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  (* set before connect, so the advertised window starts small *)
+  Unix.setsockopt_int fd Unix.SO_RCVBUF 16384;
+  (* a broken stream or a stalled peer fails the test instead of hanging
+     the suite *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 20.;
+  Unix.setsockopt_float fd Unix.SO_SNDTIMEO 20.;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  f fd
+
+(* Write every request.  A server that has dropped the connection fails
+   the tail of the write (reset), and one that stopped reading without
+   closing times it out; either way the caller checks what happened. *)
+let send_all fd frames =
+  let s = String.concat "" frames in
+  let rec go off =
+    if off < String.length s then
+      match Unix.write_substring fd s off (String.length s - off) with
+      | n -> go (off + n)
+      | exception
+          Unix.Unix_error
+            ((Unix.EPIPE | Unix.ECONNRESET | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+        ->
+        ()
+  in
+  go 0
+
+let test_server_slow_reader () =
+  (* the answers outgrow the socket buffers, so most of them leave through
+     the select write set; a reader that takes its time still gets every
+     one, intact and in order *)
+  let config = { io_config with Server.max_pending_out = 64 * 1024 * 1024 } in
+  with_server ~config (fun port ->
+      with_small_window port (fun fd ->
+          send_all fd (List.init big_count (fun i -> big_request (i + 1)));
+          let ic = Unix.in_channel_of_descr fd in
+          let expected = ref None in
+          for id = 1 to big_count do
+            Unix.sleepf 0.002;
+            match Protocol.read_frame ic with
+            | Ok (Some p) -> (
+              match Protocol.parse_response p with
+              | Ok (got, Protocol.Ok_resp body) -> (
+                Alcotest.(check int) "answers arrive in id order" id got;
+                match (Json.mem_str "output" body, !expected) with
+                | None, _ -> Alcotest.failf "answer %d has no output" id
+                | Some out, None ->
+                  Alcotest.(check bool) "output carries the inserted leaf" true
+                    (contains out "w996 w0 w1");
+                  expected := Some out
+                | Some out, Some first ->
+                  Alcotest.(check bool) (Printf.sprintf "answer %d intact" id)
+                    true (String.equal out first))
+              | Ok (_, Protocol.Err_resp { message; _ }) ->
+                Alcotest.failf "answer %d: %s" id message
+              | Error e -> Alcotest.failf "answer %d: %s" id e)
+            | Ok None | Error _ ->
+              Alcotest.failf "connection ended before answer %d" id
+            | exception (End_of_file | Sys_error _) ->
+              Alcotest.failf "stream broke before answer %d" id
+          done);
+      shutdown port)
+
+let open_fds () =
+  match Sys.readdir "/proc/self/fd" with
+  | entries -> Some (Array.length entries)
+  | exception Sys_error _ -> None
+
+let test_server_never_reader_dropped () =
+  (* a client that never reads is dropped at max_pending_out, and the
+     server's descriptor for it is closed, not leaked *)
+  let config = { io_config with Server.max_pending_out = 256 * 1024 } in
+  with_server ~config (fun port ->
+      let before = open_fds () in
+      let answered =
+        with_small_window port @@ fun fd ->
+        send_all fd (List.init big_count (fun i -> big_request (i + 1)));
+        (* only our own socket may remain once the server lets go of its
+           end; without /proc, reading to the end below shows the hang-up *)
+        (match before with
+        | None -> ()
+        | Some n ->
+          let give_up = Unix.gettimeofday () +. 20. in
+          while open_fds () <> Some (n + 1) && Unix.gettimeofday () < give_up do
+            Unix.sleepf 0.01
+          done;
+          Alcotest.(check (option int)) "server closed its descriptor"
+            (Some (n + 1)) (open_fds ()));
+        let ic = Unix.in_channel_of_descr fd in
+        let rec count n =
+          match Protocol.read_frame ic with
+          | Ok (Some _) -> count (n + 1)
+          | Ok None | Error _ -> n
+          | exception (End_of_file | Sys_error _ | Unix.Unix_error _) -> n
+        in
+        count 0
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "dropped before all answers (%d of %d)" answered big_count)
+        true (answered < big_count);
+      (match call_once port (req "ping" (Json.Obj [])) with
+      | Protocol.Ok_resp _ -> ()
+      | Protocol.Err_resp { message; _ } -> Alcotest.failf "after drop: %s" message);
+      shutdown port)
 
 let test_stdio_subprocess () =
   let cmd = Printf.sprintf "%s serve --stdio" (bin "treediff_cli") in
@@ -1001,6 +1169,12 @@ let () =
               test_server_bad_frame_closes;
             quick "unread answers over the cap drop the connection"
               test_server_output_cap;
+            quick "TCP_NODELAY on accepted and client sockets"
+              test_nodelay_both_ends;
+            quick "answers beyond the socket buffer reach a slow reader"
+              test_server_slow_reader;
+            quick "a client that never reads is dropped, fd closed"
+              test_server_never_reader_dropped;
           ] );
         ( "process",
           [
