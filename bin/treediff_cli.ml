@@ -27,10 +27,20 @@ let exit_internal = 4
    with ladiff and the serve daemon. *)
 module Doc_format = Treediff_doc.Format
 
-let parse_tree ?(lenient = false) (fmt : Doc_format.t) gen src =
-  Doc_format.parse fmt ~lenient
-    ~warn:(fun w -> Printf.eprintf "treediff: %s: %s\n" fmt.Doc_format.name w)
-    gen src
+(* Pair parsing, configuration, rendering, batch outcomes, checks and store
+   dispatch are the verb layer's, shared with the daemon; this file maps
+   arguments onto it and prints text and exit codes. *)
+module Verbs = Treediff_serve.Verbs
+
+let warn (fmt : Doc_format.t) w =
+  Printf.eprintf "treediff: %s: %s\n" fmt.Doc_format.name w
+
+let parse_tree ?(lenient = false) fmt gen src =
+  Doc_format.parse fmt ~lenient ~warn:(warn fmt) gen src
+
+let parse_pair ~lenient fmt old_file new_file =
+  Verbs.parse_pair ~lenient ~warn:(warn fmt) fmt ~old_src:(read_file old_file)
+    ~new_src:(read_file new_file)
 
 let handle_errors f =
   try f () with
@@ -84,27 +94,6 @@ let write_out output text =
 
 (* ------------------------------------------------------------------ diff *)
 
-let render_result mode output (result : Treediff.Diff.t) =
-  let text =
-    match mode with
-    | "script" -> Treediff_edit.Script_io.to_string result.Treediff.Diff.script
-    | "delta" -> Treediff.Delta_io.to_string result.Treediff.Diff.delta ^ "\n"
-    | "stats" ->
-      let m = result.Treediff.Diff.measure in
-      Printf.sprintf
-        "ops: %d (ins %d, del %d, upd %d, mov %d)\ncost: %.2f\nweighted distance e: %d\n\
-         matching: %d pairs\ncomparisons: %d leaf compares, %d partner checks\n"
-        (Treediff_edit.Script.unweighted m)
-        m.Treediff_edit.Script.inserts m.Treediff_edit.Script.deletes
-        m.Treediff_edit.Script.updates m.Treediff_edit.Script.moves
-        m.Treediff_edit.Script.cost m.Treediff_edit.Script.weighted
-        (Treediff_matching.Matching.cardinal result.Treediff.Diff.matching)
-        result.Treediff.Diff.stats.Treediff_util.Stats.leaf_compares
-        result.Treediff.Diff.stats.Treediff_util.Stats.partner_checks
-    | m -> failwith (Printf.sprintf "unknown mode %S (script|delta|stats)" m)
-  in
-  write_out output text
-
 let make_budget budget_ms max_comparisons max_nodes =
   if budget_ms = None && max_comparisons = None && max_nodes = None then None
   else
@@ -117,20 +106,11 @@ let make_exec budget_ms max_comparisons max_nodes =
     (fun budget -> Treediff_util.Exec.create ~budget ())
     (make_budget budget_ms max_comparisons max_nodes)
 
-(* Human-oriented renderings of the delta, orthogonal to [-m]. *)
-let render_delta kind (result : Treediff.Diff.t) =
-  match kind with
-  | "side-by-side" -> Treediff_doc.Render_align.render result.Treediff.Diff.delta
-  | "summary" -> Treediff_doc.Render_summary.render result.Treediff.Diff.delta
-  | r -> failwith (Printf.sprintf "unknown rendering %S (side-by-side|summary)" r)
-
 let run_diff old_file new_file format lenient algorithm approx threshold leaf_f
     window sim_threshold sim_top_k mode render zs budget_ms max_comparisons
     max_nodes output =
   handle_errors @@ fun () ->
-  let gen = Treediff_tree.Tree.gen () in
-  let t1 = parse_tree ~lenient format gen (read_file old_file) in
-  let t2 = parse_tree ~lenient format gen (read_file new_file) in
+  let t1, t2 = parse_pair ~lenient format old_file new_file in
   let exec = make_exec budget_ms max_comparisons max_nodes in
   if zs then begin
     match Treediff_zs.Zhang_shasha.mapping ?exec t1 t2 with
@@ -146,26 +126,9 @@ let run_diff old_file new_file format lenient algorithm approx threshold leaf_f
       exit exit_degraded
   end
   else begin
-    let algorithm =
-      match (algorithm, approx) with
-      | _, true | "approx", false -> Treediff.Config.Approx_match
-      | "fast", false -> Treediff.Config.Fast_match
-      | "simple", false -> Treediff.Config.Simple_match
-      | a, false ->
-        failwith (Printf.sprintf "unknown algorithm %S (fast|simple|approx)" a)
-    in
-    let criteria =
-      Treediff_matching.Criteria.make ~leaf_f ~internal_t:threshold
-        ~compare:Treediff_textdiff.Word_compare.distance ()
-    in
     let config =
-      {
-        (Treediff.Config.with_criteria criteria) with
-        algorithm;
-        scan_window = window;
-        sim_threshold;
-        sim_top_k;
-      }
+      Verbs.config ~approx ~algorithm ~leaf_f ~threshold ?window
+        ?sim_threshold ~sim_top_k ()
     in
     match Treediff.Diff.diff_result ~config ?exec t1 t2 with
     | Ok result -> (
@@ -174,9 +137,8 @@ let run_diff old_file new_file format lenient algorithm approx threshold leaf_f
       | Error e ->
         Printf.eprintf "treediff: internal check failed: %s\n" e;
         exit exit_internal);
-      (match render with
-      | None -> render_result mode output result
-      | Some kind -> write_out output (render_delta kind result));
+      write_out output
+        (Verbs.render (Option.value render ~default:mode) result);
       match result.Treediff.Diff.degraded with
       | None -> ()
       | Some rung ->
@@ -204,7 +166,12 @@ let new_file =
   Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW" ~doc:"New tree file.")
 
 let algorithm =
-  Arg.(value & opt string "fast" & info [ "a"; "algorithm" ] ~docv:"ALG"
+  let algorithms =
+    Treediff.Config.
+      [ ("fast", Fast_match); ("simple", Simple_match); ("approx", Approx_match) ]
+  in
+  Arg.(value & opt (enum algorithms) Treediff.Config.Fast_match
+       & info [ "a"; "algorithm" ] ~docv:"ALG"
          ~doc:"Matching algorithm: $(b,fast) (FastMatch, §5.3), $(b,simple) \
                (Match, §5.2) or $(b,approx) (greedy SimHash matching — \
                fastest, least minimal scripts).")
@@ -242,11 +209,17 @@ let sim_top_k =
                or the approx matcher is active.")
 
 let mode =
-  Arg.(value & opt string "script" & info [ "m"; "mode" ] ~docv:"MODE"
-         ~doc:"Output: $(b,script) (replayable), $(b,delta) (annotated tree) or $(b,stats).")
+  Arg.(value & opt (enum Verbs.modes) Verbs.Script & info [ "m"; "mode" ] ~docv:"MODE"
+         ~doc:"Output: $(b,script) (replayable), $(b,delta) (annotated tree), \
+               $(b,stats), or a $(b,--render) view ($(b,side-by-side), \
+               $(b,summary)).")
 
 let render_arg =
-  Arg.(value & opt (some string) None & info [ "render" ] ~docv:"R"
+  let views =
+    List.filter (fun (_, m) -> m = Verbs.Side_by_side || m = Verbs.Summary)
+      Verbs.modes
+  in
+  Arg.(value & opt (some (enum views)) None & info [ "render" ] ~docv:"R"
          ~doc:"Render the diff for humans instead of $(b,-m): \
                $(b,side-by-side) (aligned two-column old/new view) or \
                $(b,summary) (terse natural-language change summary, e.g. \
@@ -427,16 +400,7 @@ let collect_manifest path =
 let run_batch input format lenient jobs approx sim_threshold sim_top_k mode
     budget_ms max_comparisons max_nodes out_dir =
   handle_errors @@ fun () ->
-  let config =
-    {
-      Treediff.Config.default with
-      algorithm =
-        (if approx then Treediff.Config.Approx_match
-         else Treediff.Config.default.Treediff.Config.algorithm);
-      sim_threshold;
-      sim_top_k;
-    }
-  in
+  let config = Verbs.config ~approx ?sim_threshold ~sim_top_k () in
   let items =
     if Sys.is_directory input then collect_dir input else collect_manifest input
   in
@@ -449,19 +413,15 @@ let run_batch input format lenient jobs approx sim_threshold sim_top_k mode
   let parsed =
     List.map
       (fun item ->
-        match
-          let gen = Treediff_tree.Tree.gen () in
-          let t1 = parse_tree ~lenient format gen (read_file item.b_old) in
-          let t2 = parse_tree ~lenient format gen (read_file item.b_new) in
-          (t1, t2)
-        with
+        match parse_pair ~lenient format item.b_old item.b_new with
         | pair -> (item, Ok pair)
         | exception Doc_format.Parse_error m -> (item, Error m)
         | exception Sys_error m -> (item, Error m))
       items
   in
-  let good = List.filter_map (fun (i, r) -> Result.to_option r |> Option.map (fun p -> (i, p))) parsed in
-  let pairs = Array.of_list (List.map snd good) in
+  let pairs =
+    Array.of_list (List.filter_map (fun (_, r) -> Result.to_option r) parsed)
+  in
   (* One context per pair, budgets rearmed per pair: a straggler degrades
      alone instead of starving its successors. *)
   let execs _ =
@@ -470,8 +430,7 @@ let run_batch input format lenient jobs approx sim_threshold sim_top_k mode
     | None -> Treediff_util.Exec.create ()
   in
   let outcomes = Treediff.Batch.run ~config ~execs ?jobs pairs in
-  let by_item = Hashtbl.create 16 in
-  List.iteri (fun i (item, _) -> Hashtbl.replace by_item item.b_stem outcomes.(i)) good;
+  let next = ref 0 (* outcomes are in the order of the parsed pairs *) in
   (match out_dir with
   | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
   | _ -> ());
@@ -484,47 +443,33 @@ let run_batch input format lenient jobs approx sim_threshold sim_top_k mode
         bump exit_parse_error;
         Printf.printf "parse-error  %s: %s\n" item.b_name m
       | Ok _ -> (
-        match Hashtbl.find by_item item.b_stem with
-        | Ok (result : Treediff.Diff.t) ->
-          let m = result.Treediff.Diff.measure in
-          (match result.Treediff.Diff.degraded with
-          | None ->
-            Printf.printf "ok           %s (%d ops, cost %.2f)\n" item.b_name
-              (Treediff_edit.Script.unweighted m)
-              m.Treediff_edit.Script.cost
-          | Some rung ->
-            bump exit_degraded;
-            Printf.printf "degraded     %s (%s rung, %d ops, verified)\n"
-              item.b_name
-              (Treediff.Diff.rung_name rung)
-              (Treediff_edit.Script.unweighted m));
-          Option.iter
-            (fun dir ->
-              render_result mode
-                (Some (Filename.concat dir (item.b_stem ^ "." ^ mode)))
-                result)
-            out_dir
-        | Error (f : Treediff.Diff.failure) ->
+        (* [text] is rendered only when there is a directory to write to *)
+        let out ext text =
+          let file dir = Filename.concat dir (item.b_stem ^ "." ^ ext) in
+          Option.iter (fun dir -> write_out (Some (file dir)) (text ())) out_dir
+        in
+        let ops (r : Treediff.Diff.t) =
+          Treediff_edit.Script.unweighted r.Treediff.Diff.measure
+        in
+        let outcome = outcomes.(!next) in
+        incr next;
+        match Verbs.classify outcome with
+        | Verbs.Pair_ok r ->
+          Printf.printf "ok           %s (%d ops, cost %.2f)\n" item.b_name (ops r)
+            r.Treediff.Diff.measure.Treediff_edit.Script.cost;
+          out (Verbs.mode_name mode) (fun () -> Verbs.render mode r)
+        | Verbs.Pair_degraded (r, rung) ->
+          bump exit_degraded;
+          Printf.printf "degraded     %s (%s rung, %d ops, verified)\n"
+            item.b_name rung (ops r);
+          out (Verbs.mode_name mode) (fun () -> Verbs.render mode r)
+        | Verbs.Pair_failed (f, reason) ->
           bump exit_internal;
-          let reason =
-            match f.Treediff.Diff.attempts with
-            | (_, r) :: _ -> r
-            | [] -> "unknown"
-          in
           Printf.printf "failed       %s: %s\n" item.b_name reason;
-          Option.iter
-            (fun dir ->
-              write_out
-                (Some (Filename.concat dir (item.b_stem ^ ".flat")))
-                (Treediff_textdiff.Line_diff.render f.Treediff.Diff.flat))
-            out_dir))
+          out "flat" (fun () -> Treediff_textdiff.Line_diff.render f.Treediff.Diff.flat)))
     parsed;
-  let n_ok =
-    List.length parsed
-    - List.length (List.filter (fun (_, r) -> Result.is_error r) parsed)
-  in
   Printf.eprintf "treediff: batch: %d pairs (%d parsed), %d degraded, %d failed\n"
-    (List.length parsed) n_ok
+    (List.length parsed) (Array.length pairs)
     (Treediff.Batch.degraded_count outcomes)
     (Treediff.Batch.failed_count outcomes);
   if !severity > 0 then exit !severity
@@ -575,42 +520,17 @@ module Diag = Treediff_check.Diag
 let run_check old_file new_file format lenient script_file delta_file audit
     exhaustive output =
   handle_errors @@ fun () ->
-  let gen = Treediff_tree.Tree.gen () in
-  let t1 = parse_tree ~lenient format gen (read_file old_file) in
-  let t2 = parse_tree ~lenient format gen (read_file new_file) in
+  let t1, t2 = parse_pair ~lenient format old_file new_file in
   if exhaustive && (script_file <> None || delta_file <> None) then
     failwith "--audit-exhaustive requires the self-check mode (no --script/--delta)";
-  let diags, oracle_summary =
+  let artifact =
     match (script_file, delta_file) with
     | Some _, Some _ -> failwith "--script and --delta are mutually exclusive"
-    | Some sf, None -> (
-      (* A serialized script: lint + conformance against the tree pair.  No
-         matching is available, so the matching analyzer does not run. *)
-      match Treediff_edit.Script_io.parse (read_file sf) with
-      | Error msg -> ([ Diag.make Diag.Script_parse "%s: %s" sf msg ], None)
-      | Ok script -> (Treediff_check.Check.verify ~t1 ~t2 script, None))
-    | None, Some df -> (
-      (* A serialized delta: structural rules + does it reproduce NEW. *)
-      match Treediff.Delta_io.parse (read_file df) with
-      | Error msg -> ([ Diag.make Diag.Delta_parse "%s: %s" df msg ], None)
-      | Ok delta -> (Treediff.Delta_check.run ~new_tree:t2 delta, None))
-    | None, None ->
-      (* Self-check: diff the pair, then verify our own artifacts. *)
-      let config = Treediff.Config.(with_check false default) in
-      let result = Treediff.Diff.diff ~config t1 t2 in
-      let diags = Treediff.Diff.verify ~config ~audit_data:audit result ~t1 ~t2 in
-      if exhaustive then begin
-        (* Minimality audit: prove the generator's op count minimal on
-           every maximal matched subtree pair small enough to decide. *)
-        let report =
-          Treediff.Oracle_audit.run ~matching:result.Treediff.Diff.matching
-            ~t1 ~t2 ()
-        in
-        (diags @ report.Treediff.Oracle_audit.diags,
-         Some (Treediff.Oracle_audit.summary report))
-      end
-      else (diags, None)
+    | Some sf, None -> Verbs.Script_text (sf, read_file sf)
+    | None, Some df -> Verbs.Delta_text (df, read_file df)
+    | None, None -> Verbs.Self
   in
+  let diags, oracle_summary = Verbs.check ~audit ~exhaustive ~t1 ~t2 artifact in
   let buf = Buffer.create 256 in
   List.iter (fun d -> Buffer.add_string buf (Diag.to_string d ^ "\n")) diags;
   Option.iter (fun s -> Buffer.add_string buf (s ^ "\n")) oracle_summary;
@@ -677,46 +597,36 @@ let ok_or_die = function
     Printf.eprintf "treediff: store: %s\n" msg;
     exit 1
 
-let open_store archive =
-  let store = ok_or_die (Store.open_ archive) in
-  if Store.truncated_tail store then
-    Printf.eprintf
-      "treediff: store: %s has a damaged tail (interrupted commit); %d \
-       version(s) remain readable and the next commit reclaims the space\n"
-      archive (Store.versions store);
+(* Open a single-file archive or a corpus through the verb layer and warn
+   about damage that reopening isolated. *)
+let open_archive path =
+  let store = ok_or_die (Verbs.open_store path) in
+  (match store with
+  | Verbs.Single s ->
+    if Store.truncated_tail s then
+      Printf.eprintf
+        "treediff: store: %s has a damaged tail (interrupted commit); %d \
+         version(s) remain readable and the next commit reclaims the space\n"
+        path (Store.versions s)
+  | Verbs.Corpus c -> (
+    if Shard.manifest_truncated c then
+      Printf.eprintf
+        "treediff: store: %s: manifest had a damaged tail (interrupted commit \
+         isolated on replay)\n"
+        path;
+    match Shard.aborted_commits c with
+    | [] -> ()
+    | aborted ->
+      Printf.eprintf
+        "treediff: store: %s: %d aborted commit(s) from an earlier crash; \
+         their versions are invisible and 'treediff store gc' reclaims the \
+         bytes\n"
+        path (List.length aborted)));
   store
 
-let open_corpus dir =
-  let corpus = ok_or_die (Shard.open_ dir) in
-  if Shard.manifest_truncated corpus then
-    Printf.eprintf
-      "treediff: store: %s: manifest had a damaged tail (interrupted commit \
-       isolated on replay)\n"
-      dir;
-  (match Shard.aborted_commits corpus with
-  | [] -> ()
-  | aborted ->
-    Printf.eprintf
-      "treediff: store: %s: %d aborted commit(s) from an earlier crash; \
-       their versions are invisible and $(b,store gc) reclaims the bytes\n"
-      dir (List.length aborted));
-  corpus
-
-(* A corpus directory and a single-file archive share the verbs; per-document
-   verbs on a corpus need [--doc] to say which chain they mean. *)
-let require_doc = function
-  | Some doc -> doc
-  | None -> ok_or_die (Error "this archive is a corpus; pick a chain with --doc")
-
-let refuse_doc archive = function
-  | None -> ()
-  | Some _ ->
-    ok_or_die
-      (Error
-         (Printf.sprintf
-            "%s is a single-document archive (--doc applies to a corpus \
-             created with store init --shards)"
-            archive))
+(* The chain a per-document verb names: [--doc] picks one in a corpus and
+   is refused on a single-file archive. *)
+let open_chain path doc = ok_or_die (Verbs.chain (open_archive path) ~doc)
 
 let policy_string ~interval ~max_replay_ops =
   match (interval, max_replay_ops) with
@@ -745,15 +655,7 @@ let run_store_commit archive tree_file format lenient doc =
   handle_errors @@ fun () ->
   let gen = Treediff_tree.Tree.gen () in
   let tree = parse_tree ~lenient format gen (read_file tree_file) in
-  let entry =
-    if Shard.is_corpus archive then
-      let corpus = open_corpus archive in
-      ok_or_die (Shard.commit corpus ~doc:(require_doc doc) tree)
-    else begin
-      refuse_doc archive doc;
-      ok_or_die (Store.commit (open_store archive) tree)
-    end
-  in
+  let entry = ok_or_die (Verbs.commit (open_chain archive doc) tree) in
   Printf.printf "committed version %d (%s, %d ops, %d bytes)\n"
     entry.Store.version
     (Store.kind_name entry.Store.kind)
@@ -771,30 +673,30 @@ let print_entries entries =
 
 let run_store_log archive doc =
   handle_errors @@ fun () ->
-  if Shard.is_corpus archive then begin
-    let corpus = open_corpus archive in
-    match doc with
-    | Some doc -> print_entries (ok_or_die (Shard.log corpus doc))
-    | None ->
-      Printf.printf "%-24s %8s %5s  %s\n" "document" "versions" "shard"
-        "head hash";
-      List.iter
-        (fun d ->
-          Printf.printf "%-24s %8d %5d  %s\n" d (Shard.versions corpus d)
-            (Shard.shard_of corpus d)
-            (match Shard.head_hash corpus d with
-            | Some h -> Printf.sprintf "%016Lx" h
-            | None -> "-"))
-        (Shard.docs corpus)
-  end
-  else begin
-    refuse_doc archive doc;
-    print_entries (Store.log (open_store archive))
-  end
+  match (open_archive archive, doc) with
+  | Verbs.Corpus corpus, None ->
+    (* no --doc: the corpus catalog, one row per document *)
+    Printf.printf "%-24s %8s %5s  %s\n" "document" "versions" "shard"
+      "head hash";
+    List.iter
+      (fun d ->
+        Printf.printf "%-24s %8d %5d  %s\n" d (Shard.versions corpus d)
+          (Shard.shard_of corpus d)
+          (match Shard.head_hash corpus d with
+          | Some h -> Printf.sprintf "%016Lx" h
+          | None -> "-"))
+      (Shard.docs corpus)
+  | store, doc ->
+    print_entries (ok_or_die (Verbs.log (ok_or_die (Verbs.chain store ~doc))))
 
 let run_store_show archive version output =
   handle_errors @@ fun () ->
-  let store = open_store archive in
+  let store =
+    match open_archive archive with
+    | Verbs.Single s -> s
+    | Verbs.Corpus _ ->
+      ok_or_die (Error "store show reads single-document archives")
+  in
   let e = ok_or_die (Store.entry store version) in
   let header =
     Printf.sprintf "version %d: %s, %d ops, %d bytes, next_id %d, hash %016Lx\n"
@@ -818,16 +720,7 @@ let run_store_materialize archive version verify budget_ms format output doc =
         Treediff_util.Exec.create ~budget:(Treediff_util.Budget.make ~deadline_ms:ms ()) ())
       budget_ms
   in
-  let result =
-    if Shard.is_corpus archive then
-      Shard.materialize ~verify ?exec (open_corpus archive)
-        ~doc:(require_doc doc) version
-    else begin
-      refuse_doc archive doc;
-      Store.materialize ~verify ?exec (open_store archive) version
-    end
-  in
-  match result with
+  match Verbs.materialize ~verify ?exec (open_chain archive doc) version with
   | Ok tree -> write_out output (print_tree format tree)
   | Error msg -> ok_or_die (Error msg)
   | exception Treediff_util.Budget.Exceeded e ->
@@ -837,35 +730,23 @@ let run_store_materialize archive version verify budget_ms format output doc =
 let run_store_diff archive from_ to_ output doc =
   handle_errors @@ fun () ->
   let script =
-    if Shard.is_corpus archive then
-      ok_or_die
-        (Shard.diff_between (open_corpus archive) ~doc:(require_doc doc) ~from_
-           ~to_)
-    else begin
-      refuse_doc archive doc;
-      ok_or_die (Store.diff_between (open_store archive) ~from_ ~to_)
-    end
+    ok_or_die (Verbs.diff_between (open_chain archive doc) ~from_ ~to_)
   in
   write_out output (Treediff_edit.Script_io.to_string script)
 
 let run_store_gc archive prune_before jobs =
   handle_errors @@ fun () ->
-  if Shard.is_corpus archive then begin
-    (match prune_before with
-    | None -> ()
-    | Some _ ->
-      ok_or_die (Error "--prune-before applies to single-document archives"));
-    let corpus = open_corpus archive in
+  match open_archive archive with
+  | Verbs.Corpus corpus ->
+    if prune_before <> None then
+      ok_or_die (Error "--prune-before applies to single-document archives");
     let before, after = ok_or_die (Shard.gc ?jobs corpus) in
     Printf.printf "compacted corpus %s: %d -> %d bytes (%d shards)\n"
       (Shard.dir corpus) before after (Shard.shards corpus)
-  end
-  else begin
-    let store = open_store archive in
+  | Verbs.Single store ->
     let before, after = ok_or_die (Store.gc ?prune_before store) in
     Printf.printf "compacted %s: %d -> %d bytes (base version %d)\n"
       (Store.path store) before after (Store.base_version store)
-  end
 
 (* ---------------------------------------------------- corpus-only verbs *)
 
@@ -917,7 +798,12 @@ let sources_of_dir ~format ~lenient docs_dir =
 
 let run_store_ingest archive docs_dir jobs chunk_docs budget_ms format lenient =
   handle_errors @@ fun () ->
-  let corpus = open_corpus archive in
+  let corpus =
+    match open_archive archive with
+    | Verbs.Corpus c -> c
+    | Verbs.Single _ ->
+      ok_or_die (Error "store ingest needs a corpus (store init --shards)")
+  in
   let sources = sources_of_dir ~format ~lenient docs_dir in
   if sources = [] then
     ok_or_die
@@ -943,8 +829,8 @@ let run_store_ingest archive docs_dir jobs chunk_docs budget_ms format lenient =
 
 let run_store_stats archive =
   handle_errors @@ fun () ->
-  if Shard.is_corpus archive then begin
-    let corpus = open_corpus archive in
+  match open_archive archive with
+  | Verbs.Corpus corpus ->
     let s = Shard.stats corpus in
     let shard_total = Array.fold_left ( + ) 0 s.Shard.stat_shard_bytes in
     let largest = Array.fold_left max 0 s.Shard.stat_shard_bytes in
@@ -954,10 +840,8 @@ let run_store_stats archive =
       shard_total largest s.Shard.stat_manifest_bytes;
     Printf.printf "epoch %d; %d aborted commit(s) awaiting gc\n" s.Shard.stat_epoch
       s.Shard.stat_aborted
-  end
-  else begin
+  | Verbs.Single store ->
     (* the single-file archive is the 1-shard special case *)
-    let store = open_store archive in
     let bytes =
       match Unix.stat archive with
       | { Unix.st_size; _ } -> st_size
@@ -965,25 +849,21 @@ let run_store_stats archive =
     in
     Printf.printf "%s: 1 shard (single-file archive), %d version(s), %d bytes\n"
       archive (Store.versions store) bytes
-  end
 
 let run_store_verify archive jobs =
   handle_errors @@ fun () ->
-  if Shard.is_corpus archive then begin
-    let corpus = open_corpus archive in
+  match open_archive archive with
+  | Verbs.Corpus corpus ->
     let n = ok_or_die (Shard.verify ?jobs corpus) in
     Printf.printf "verified %d version(s) across %d document(s)\n" n
       (Shard.doc_count corpus)
-  end
-  else begin
-    let store = open_store archive in
-    for v = 0 to Store.versions store - 1 do
-      match Store.materialize ~verify:true store v with
-      | Ok _ -> ()
-      | Error msg -> ok_or_die (Error msg)
-    done;
+  | Verbs.Single store ->
+    (* every held version: gc may have pruned those before the base *)
+    List.iter
+      (fun (e : Store.entry) ->
+        ignore (ok_or_die (Store.materialize ~verify:true store e.Store.version)))
+      (Store.log store);
     Printf.printf "verified %d version(s)\n" (Store.versions store)
-  end
 
 let archive_new =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"ARCHIVE"
@@ -1254,7 +1134,7 @@ let run_remote verb old_file new_file host port mode deadline_ms approx
     @ (match new_file with
       | Some f -> [ ("new", Sjson.Str (read_file f)) ]
       | None -> [])
-    @ [ ("mode", Sjson.Str mode) ]
+    @ [ ("mode", Sjson.Str (Verbs.mode_name mode)) ]
     @ (match deadline_ms with
       | Some ms -> [ ("deadline_ms", Sjson.Num ms) ]
       | None -> [])

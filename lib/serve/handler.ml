@@ -27,9 +27,7 @@ let pressure_name = function
    it still matches, so an archive modified by another process — or
    rewritten by gc, which renames a fresh inode into place — is silently
    reopened rather than served stale. *)
-type store_handle = Single of Store.t | Corpus of Shard.t
-
-type cached_store = { handle : store_handle; fingerprint : string }
+type cached_store = { handle : Verbs.store; fingerprint : string }
 
 type t = {
   default_deadline_ms : float;
@@ -152,69 +150,47 @@ let format_of_params params =
 let lenient_of_params params =
   Option.value ~default:false (Json.mem_bool "lenient" params)
 
-let parse_tree_param ~gen ?(fmt = Doc_format.sexp) ?(lenient = false) name
-    params =
+(* [where] prefixes the error text, e.g. ["pairs[3]: "] inside a batch *)
+let str_param ?(where = "") name params =
   match Json.mem_str name params with
-  | None -> raise (Bad_params (Printf.sprintf "missing string param %S" name))
-  | Some src -> (
-    match fmt.Doc_format.parse_result ~lenient gen src with
-    | Ok (t, _warnings) -> t
-    | Error m ->
-      raise (Bad_params (Printf.sprintf "%s: parse error: %s" name m)))
+  | Some src -> src
+  | None ->
+    raise (Bad_params (Printf.sprintf "%smissing string param %S" where name))
+
+let parse_tree_param ~fmt ~lenient name params =
+  let src = str_param name params in
+  match fmt.Doc_format.parse_result ~lenient (Treediff_tree.Tree.gen ()) src with
+  | Ok (t, _warnings) -> t
+  | Error m -> raise (Bad_params (Printf.sprintf "%s: parse error: %s" name m))
+
+(* The old/new pair, parsed by the verb layer exactly as the CLI parses it. *)
+let parse_pair ~fmt ~lenient ?(where = "") params =
+  let old_src = str_param ~where "old" params in
+  let new_src = str_param ~where "new" params in
+  match Verbs.parse_pair ~lenient fmt ~old_src ~new_src with
+  | pair -> pair
+  | exception Doc_format.Parse_error m ->
+    raise (Bad_params (where ^ "parse error: " ^ m))
 
 (* ------------------------------------------------------------ diff verb *)
 
 let render_mode params =
-  match Json.mem_str "mode" params with
-  | None -> "script"
-  | Some (("script" | "delta" | "stats" | "side-by-side" | "summary") as m) ->
-    m
-  | Some m -> raise (Bad_params (Printf.sprintf "unknown mode %S" m))
+  let name = Option.value ~default:"script" (Json.mem_str "mode" params) in
+  match List.assoc_opt name Verbs.modes with
+  | Some m -> m
+  | None -> raise (Bad_params (Printf.sprintf "unknown mode %S" name))
 
-let render_result mode (result : Diff.t) =
-  match mode with
-  | "script" -> Script_io.to_string result.Diff.script
-  | "delta" -> Treediff.Delta_io.to_string result.Diff.delta ^ "\n"
-  | "side-by-side" -> Treediff_doc.Render_align.render result.Diff.delta
-  | "summary" -> Treediff_doc.Render_summary.render result.Diff.delta
-  | "stats" ->
-    let m = result.Diff.measure in
-    Printf.sprintf
-      "ops: %d (ins %d, del %d, upd %d, mov %d)\ncost: %.2f\nweighted distance e: %d\nmatching: %d pairs\n"
-      (Script.unweighted m) m.Script.inserts m.Script.deletes m.Script.updates
-      m.Script.moves m.Script.cost m.Script.weighted
-      (Treediff_matching.Matching.cardinal result.Diff.matching)
-  | m -> raise (Bad_params (Printf.sprintf "unknown mode %S" m))
-
-(* Same defaults as the [treediff diff] CLI — word-LCS leaf comparison with
-   the paper's f=0.5/t=0.6 thresholds — so the daemon and the local tool
-   give identical answers for identical inputs.  The criteria are fixed per
-   server (not per request): the cache key covers everything that varies. *)
-let serve_criteria =
-  Treediff_matching.Criteria.make
-    ~compare:Treediff_textdiff.Word_compare.distance ()
-
+(* The verb layer's configuration, so the daemon and the CLI answer alike;
+   the cache key covers every parameter that varies per request. *)
 let diff_config ~pressure params =
   let approx =
     Option.value ~default:false (Json.mem_bool "approx" params)
     || pressure = Forced_approx
   in
-  let sim_threshold =
-    Option.map int_of_float (Json.mem_num "sim_threshold" params)
-  in
-  let sim_top_k =
-    match Json.mem_num "sim_top_k" params with
-    | Some k -> int_of_float k
-    | None -> Config.default.Config.sim_top_k
-  in
-  {
-    (Config.with_criteria serve_criteria) with
-    algorithm =
-      (if approx then Config.Approx_match else Config.default.Config.algorithm);
-    sim_threshold;
-    sim_top_k;
-    check = false;
-  }
+  let int name = Option.map int_of_float (Json.mem_num name params) in
+  Config.with_check false
+    (Verbs.config ~approx ?sim_threshold:(int "sim_threshold")
+       ?sim_top_k:(int "sim_top_k") ())
 
 (* Only full-quality and explicitly-approx results are cached: a result the
    ladder degraded under a deadline depends on that request's budget, and a
@@ -224,7 +200,7 @@ let cacheable (result : Diff.t) = result.Diff.degraded = None
 
 let cache_key ~mode ~(config : Config.t) t1 t2 =
   Printf.sprintf "diff:%Lx:%Lx:%s:%s:%s:%d"
-    (Iso.hash t1) (Iso.hash t2) mode
+    (Iso.hash t1) (Iso.hash t2) (Verbs.mode_name mode)
     (match config.Config.algorithm with
     | Config.Fast_match -> "fast"
     | Config.Simple_match -> "simple"
@@ -244,9 +220,7 @@ let run_diff t ~pressure ~deadline_ms req =
   let mode = render_mode params in
   let fmt = format_of_params params in
   let lenient = lenient_of_params params in
-  let gen = Treediff_tree.Tree.gen () in
-  let t1 = parse_tree_param ~gen ~fmt ~lenient "old" params in
-  let t2 = parse_tree_param ~gen ~fmt ~lenient "new" params in
+  let t1, t2 = parse_pair ~fmt ~lenient params in
   if pressure = Flat_only then begin
     t.degraded <- t.degraded + 1;
     Ok
@@ -267,7 +241,7 @@ let run_diff t ~pressure ~deadline_ms req =
       Ok
         (Json.Obj
            [
-             ("mode", Json.Str mode);
+             ("mode", Json.Str (Verbs.mode_name mode));
              ("output", Json.Str output);
              ("degraded", Json.Null);
              ("forced",
@@ -278,7 +252,7 @@ let run_diff t ~pressure ~deadline_ms req =
       let exec = Exec.create ~budget:(Budget.make ~deadline_ms ()) () in
       match Diff.diff_result ~config ~exec t1 t2 with
       | Ok result ->
-        let output = render_result mode result in
+        let output = Verbs.render mode result in
         if cacheable result then cache_put t key output;
         let degraded =
           match result.Diff.degraded with
@@ -290,7 +264,7 @@ let run_diff t ~pressure ~deadline_ms req =
         Ok
           (Json.Obj
              [
-               ("mode", Json.Str mode);
+               ("mode", Json.Str (Verbs.mode_name mode));
                ("output", Json.Str output);
                ("degraded", degraded);
                ("ops", Json.Num (float_of_int (Script.unweighted result.Diff.measure)));
@@ -321,19 +295,9 @@ let run_batch t ~pressure ~deadline_ms req =
   in
   let fmt = format_of_params params in
   let lenient = lenient_of_params params in
-  let gen = Treediff_tree.Tree.gen () in
-  let parse_side i name p =
-    match Json.mem_str name p with
-    | None ->
-      raise (Bad_params (Printf.sprintf "pairs[%d]: missing %S" i name))
-    | Some src -> (
-      match fmt.Doc_format.parse_result ~lenient gen src with
-      | Ok (t, _warnings) -> t
-      | Error m ->
-        raise (Bad_params (Printf.sprintf "pairs[%d]: parse error: %s" i m)))
-  in
   let pairs =
-    List.mapi (fun i p -> (parse_side i "old" p, parse_side i "new" p))
+    List.mapi
+      (fun i p -> parse_pair ~fmt ~lenient ~where:(Printf.sprintf "pairs[%d]: " i) p)
       pairs_json
     |> Array.of_list
   in
@@ -348,27 +312,25 @@ let run_batch t ~pressure ~deadline_ms req =
      bounds each member rather than being re-granted per pair. *)
   let execs _ = Exec.create ~budget:(Budget.make ~deadline_ms ()) () in
   let outcomes = Treediff.Batch.run ~config ~execs ?jobs pairs in
+  let ok status (r : Diff.t) extra =
+    Json.Obj
+      ([
+         ("status", Json.Str status);
+         ("ops", Json.Num (float_of_int (Script.unweighted r.Diff.measure)));
+         ("output", Json.Str (Verbs.render mode r));
+       ]
+      @ extra)
+  in
   let results =
     Array.to_list outcomes
-    |> List.map (function
-         | Ok (r : Diff.t) ->
-           let fields =
-             [
-               ("status",
-                Json.Str (match r.Diff.degraded with None -> "ok" | Some _ -> "degraded"));
-               ("ops", Json.Num (float_of_int (Script.unweighted r.Diff.measure)));
-               ("output", Json.Str (render_result mode r));
-             ]
-           in
-           (match r.Diff.degraded with
-           | None -> Json.Obj fields
-           | Some rung -> Json.Obj (fields @ [ ("rung", Json.Str (Diff.rung_name rung)) ]))
-         | Error (f : Diff.failure) ->
-           let reason =
-             match f.Diff.attempts with (_, r) :: _ -> r | [] -> "unknown"
-           in
-           Json.Obj
-             [ ("status", Json.Str "failed"); ("reason", Json.Str reason) ])
+    |> List.map (fun outcome ->
+           match Verbs.classify outcome with
+           | Verbs.Pair_ok r -> ok "ok" r []
+           | Verbs.Pair_degraded (r, rung) ->
+             ok "degraded" r [ ("rung", Json.Str rung) ]
+           | Verbs.Pair_failed (_, reason) ->
+             Json.Obj
+               [ ("status", Json.Str "failed"); ("reason", Json.Str reason) ])
   in
   let n_degraded = Treediff.Batch.degraded_count outcomes in
   if n_degraded > 0 then t.degraded <- t.degraded + 1;
@@ -387,20 +349,13 @@ let run_check ~deadline_ms req =
   let params = req.Protocol.params in
   let fmt = format_of_params params in
   let lenient = lenient_of_params params in
-  let gen = Treediff_tree.Tree.gen () in
-  let t1 = parse_tree_param ~gen ~fmt ~lenient "old" params in
-  let t2 = parse_tree_param ~gen ~fmt ~lenient "new" params in
+  let t1, t2 = parse_pair ~fmt ~lenient params in
   let exec = Exec.create ~budget:(Budget.make ~deadline_ms ()) () in
-  let config = Config.(with_check false default) in
-  let diags =
-    match Json.mem_str "script" params with
-    | Some src -> (
-      match Script_io.parse src with
-      | Error msg -> [ Diag.make Diag.Script_parse "script: %s" msg ]
-      | Ok script -> Treediff_check.Check.verify ~t1 ~t2 script)
-    | None ->
-      let result = Diff.diff ~config ~exec t1 t2 in
-      Diff.verify ~config result ~t1 ~t2
+  let diags, _ =
+    Verbs.check ~exec ~t1 ~t2
+      (match Json.mem_str "script" params with
+      | Some src -> Verbs.Script_text ("script", src)
+      | None -> Verbs.Self)
   in
   Ok
     (Json.Obj
@@ -424,22 +379,11 @@ let run_check ~deadline_ms req =
    during one request cannot carry that request's expired deadline into
    the next. *)
 
-let archive_param params =
-  match Json.mem_str "archive" params with
-  | Some p -> p
-  | None -> raise (Bad_params "missing string param \"archive\"")
-
 let version_param name params =
   match Json.mem_num name params with
   | Some v when Float.is_integer v && v >= 0. -> int_of_float v
   | Some _ -> raise (Bad_params (Printf.sprintf "param %S must be a version number" name))
   | None -> raise (Bad_params (Printf.sprintf "missing numeric param %S" name))
-
-let doc_param params = Json.mem_str "doc" params
-
-let require_doc_param = function
-  | Some doc -> Ok doc
-  | None -> Error "this archive is a corpus; pass \"doc\""
 
 let store_fingerprint path =
   let target =
@@ -461,33 +405,22 @@ let store_revalidate t path handle =
   | None -> ()
 
 let with_store t ~budget params f =
-  let path = archive_param params in
+  let path = str_param "archive" params in
   match store_fingerprint path with
   | None ->
     Error (Protocol.Bad_request, Printf.sprintf "store: no such archive %s" path)
   | Some fp -> (
-    let cached =
-      match Cache.find t.stores path with
-      | Some { handle; fingerprint } when fingerprint = fp -> Some handle
-      | Some _ (* stale: modified or gc-rewritten since it was opened *)
-      | None -> None
-    in
     let opened =
-      match cached with
-      | Some handle ->
+      match Cache.find t.stores path with
+      | Some { handle; fingerprint } when fingerprint = fp ->
         t.store_hits <- t.store_hits + 1;
         Ok handle
+      | Some _ (* stale: modified or gc-rewritten since it was opened *)
       | None -> (
         t.store_misses <- t.store_misses + 1;
         (* the cached handle outlives this request, so it gets a plain
            context; budgets are passed per operation *)
-        let exec = Exec.create () in
-        let fresh =
-          if Shard.is_corpus path then
-            Result.map (fun c -> Corpus c) (Shard.open_ ~exec path)
-          else Result.map (fun s -> Single s) (Store.open_ ~exec path)
-        in
-        match fresh with
+        match Verbs.open_store ~exec:(Exec.create ()) path with
         | Error msg -> Error (Protocol.Bad_request, "store: " ^ msg)
         | Ok handle ->
           Cache.put t.stores path { handle; fingerprint = fp };
@@ -517,30 +450,22 @@ let entry_json (e : Store.entry) =
 let run_store t ~budget verb req =
   let params = req.Protocol.params in
   let store_err msg = Error (Protocol.Bad_request, "store: " ^ msg) in
+  let doc = Json.mem_str "doc" params in
+  (* [f] runs on the chain the request names; the verb layer refuses a
+     corpus without a doc and a single-file archive with one *)
+  let in_chain handle f =
+    match Verbs.chain handle ~doc with
+    | Error msg -> store_err msg
+    | Ok chain -> f chain
+  in
+  let on_chain f =
+    with_store t ~budget params (fun ~exec handle -> in_chain handle (f ~exec handle))
+  in
   match verb with
   | "store/log" ->
     with_store t ~budget params (fun ~exec:_ handle ->
-        match (handle, doc_param params) with
-        | Single store, _ ->
-          Ok
-            (Json.Obj
-               [
-                 ("versions", Json.Num (float_of_int (Store.versions store)));
-                 ("truncated_tail", Json.Bool (Store.truncated_tail store));
-                 ("entries", Json.Arr (List.map entry_json (Store.log store)));
-               ])
-        | Corpus corpus, Some doc -> (
-          match Shard.log corpus doc with
-          | Ok entries ->
-            Ok
-              (Json.Obj
-                 [
-                   ("doc", Json.Str doc);
-                   ("versions", Json.Num (float_of_int (List.length entries)));
-                   ("entries", Json.Arr (List.map entry_json entries));
-                 ])
-          | Error msg -> store_err msg)
-        | Corpus corpus, None ->
+        match (handle, doc) with
+        | Verbs.Corpus corpus, None ->
           (* no doc: the corpus catalog, one row per document *)
           Ok
             (Json.Obj
@@ -563,21 +488,34 @@ let run_store t ~budget verb req =
                  ("versions",
                   Json.Num (float_of_int (Shard.total_versions corpus)));
                  ("shards", Json.Num (float_of_int (Shard.shards corpus)));
-               ]))
+               ])
+        | _ ->
+          in_chain handle (fun chain ->
+              match Verbs.log chain with
+              | Error msg -> store_err msg
+              | Ok entries ->
+                let versions =
+                  ("versions", Json.Num (float_of_int (List.length entries)))
+                in
+                let entries = ("entries", Json.Arr (List.map entry_json entries)) in
+                Ok
+                  (Json.Obj
+                     (match chain with
+                     | Verbs.Archive store ->
+                       [
+                         versions;
+                         ("truncated_tail", Json.Bool (Store.truncated_tail store));
+                         entries;
+                       ]
+                     | Verbs.Doc (_, doc) ->
+                       [ ("doc", Json.Str doc); versions; entries ]))))
   | "store/materialize" ->
-    with_store t ~budget params (fun ~exec handle ->
+    on_chain (fun ~exec _ chain ->
         let version = version_param "version" params in
         let verify =
           Option.value ~default:true (Json.mem_bool "verify" params)
         in
-        let tree =
-          match handle with
-          | Single store -> Store.materialize ~verify ~exec store version
-          | Corpus corpus ->
-            Result.bind (require_doc_param (doc_param params)) (fun doc ->
-                Shard.materialize ~verify ~exec corpus ~doc version)
-        in
-        match tree with
+        match Verbs.materialize ~verify ~exec chain version with
         | Ok tree ->
           (* the response honours the request's format, like the CLI's
              [store materialize -f] *)
@@ -585,39 +523,20 @@ let run_store t ~budget verb req =
           Ok (Json.Obj [ ("tree", Json.Str (fmt.Doc_format.render tree)) ])
         | Error msg -> store_err msg)
   | "store/commit" ->
-    with_store t ~budget params (fun ~exec handle ->
-        let gen = Treediff_tree.Tree.gen () in
+    on_chain (fun ~exec handle chain ->
         let fmt = format_of_params params in
         let lenient = lenient_of_params params in
-        let tree = parse_tree_param ~gen ~fmt ~lenient "tree" params in
-        match handle with
-        | Single store -> (
-          match Store.commit ~exec store tree with
-          | Ok entry ->
-            store_revalidate t (archive_param params) handle;
-            Ok (entry_json entry)
-          | Error msg -> store_err msg)
-        | Corpus corpus -> (
-          match
-            Result.bind (require_doc_param (doc_param params)) (fun doc ->
-                Shard.commit ~exec corpus ~doc tree)
-          with
-          | Ok entry ->
-            store_revalidate t (archive_param params) handle;
-            Ok (entry_json entry)
-          | Error msg -> store_err msg))
+        let tree = parse_tree_param ~fmt ~lenient "tree" params in
+        match Verbs.commit ~exec chain tree with
+        | Ok entry ->
+          store_revalidate t (str_param "archive" params) handle;
+          Ok (entry_json entry)
+        | Error msg -> store_err msg)
   | "store/diff" ->
-    with_store t ~budget params (fun ~exec handle ->
+    on_chain (fun ~exec _ chain ->
         let from_ = version_param "from" params in
         let to_ = version_param "to" params in
-        let script =
-          match handle with
-          | Single store -> Store.diff_between ~exec store ~from_ ~to_
-          | Corpus corpus ->
-            Result.bind (require_doc_param (doc_param params)) (fun doc ->
-                Shard.diff_between ~exec corpus ~doc ~from_ ~to_)
-        in
-        match script with
+        match Verbs.diff_between ~exec chain ~from_ ~to_ with
         | Ok script ->
           Ok (Json.Obj [ ("script", Json.Str (Script_io.to_string script)) ])
         | Error msg -> store_err msg)

@@ -1,5 +1,7 @@
 (** Request execution for the daemon: verbs, deadlines, pressure policy,
-    result cache and the crash-isolation barrier.
+    result cache and the crash-isolation barrier.  What a verb computes is
+    decided in {!Verbs}, which the [treediff] CLI calls too; this module
+    maps JSON parameters onto it and encodes the answers.
 
     One {!t} lives for the lifetime of a server and is single-owner: only
     the accept-loop domain calls {!handle}.  Each request runs in its own

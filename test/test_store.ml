@@ -725,6 +725,36 @@ let test_cli_store () =
   Alcotest.(check int) "surviving version fine" 0 code;
   List.iter Sys.remove [ arch; v0; v1; v2; s; m0; m2 ]
 
+(* Verify walks the versions the archive still holds: after a prune the
+   oldest is the new base, not version 0. *)
+let test_cli_verify_after_prune () =
+  let t = bin "treediff_cli" in
+  let arch = tmp_path "cli_prune.tds" in
+  let docs =
+    List.mapi
+      (fun v extra ->
+        let path = tmp_path (Printf.sprintf "cli_prune_v%d.sexp" v) in
+        let oc = open_out_bin path in
+        Printf.fprintf oc
+          {|(D (P (S "alpha one") (S "beta two")) (P (S "gamma three")%s))|} extra;
+        close_out oc;
+        path)
+      [ ""; {| (S "delta four")|}; {| (S "delta four") (S "epsilon five")|} ]
+  in
+  let code, _ = run (Printf.sprintf "%s store init %s" t arch) in
+  Alcotest.(check int) "init exit 0" 0 code;
+  List.iter
+    (fun f ->
+      let code, _ = run (Printf.sprintf "%s store commit %s %s" t arch f) in
+      Alcotest.(check int) "commit exit 0" 0 code)
+    docs;
+  let code, _ = run (Printf.sprintf "%s store gc %s --prune-before 1" t arch) in
+  Alcotest.(check int) "prune exit 0" 0 code;
+  let code, out = run (Printf.sprintf "%s store verify %s" t arch) in
+  Alcotest.(check int) "verify exit 0" 0 code;
+  Alcotest.(check string) "both held versions verified" "verified 2 version(s)\n" out;
+  List.iter Sys.remove (arch :: docs)
+
 let test_cli_store_fault_env () =
   let t = bin "treediff_cli" in
   let arch = tmp_path "cli_fault.tds" in
@@ -797,6 +827,7 @@ let () =
         ( "cli",
           [
             quick "store end-to-end" test_cli_store;
+            quick "verify after a prune" test_cli_verify_after_prune;
             quick "TREEDIFF_FAULT crash and recovery" test_cli_store_fault_env;
           ] );
       ]

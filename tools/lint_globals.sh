@@ -1,7 +1,8 @@
 #!/bin/sh
-# Source hygiene lints over lib/.  Each @lint rule greps for a forbidden
-# pattern; hits are filtered through `tools/lint_globals.allow` (one
-# literal line fragment per entry, `#` comments allowed) before failing.
+# Source hygiene lints over lib/ and the entry points in bin/.  Each @lint
+# rule greps for a forbidden pattern; hits are filtered through
+# `tools/lint_globals.allow` (one literal line fragment per entry, `#`
+# comments allowed) before failing.
 set -eu
 root=${1:-.}
 allow="$root/tools/lint_globals.allow"
@@ -58,6 +59,22 @@ bad=$(grep -rn -E '(Xml|Latex|Html|Json|Markdown)_parser\.parse' \
 bad=$(filter_allowed "$bad")
 if [ -n "$bad" ]; then
   echo 'lint_globals: direct parser call outside lib/doc (resolve the format through Treediff_doc.Format instead):' >&2
+  printf '%s\n' "$bad" >&2
+  status=1
+fi
+
+# @lint one-verb-layer
+# The CLI and the daemon answer alike because both call the one verb layer
+# (lib/serve/verbs.ml) for the criteria, the human renderings and the
+# single-file-or-corpus store dispatch.  Building criteria, calling a
+# renderer or testing for a corpus anywhere else in either entry point
+# starts a second copy of a decision that the two must share.
+bad=$(grep -rn -E '(Shard\.is_corpus|Criteria\.make|Render_(align|summary)\.render)' \
+        "$root/bin/treediff_cli.ml" "$root/lib/serve" --include='*.ml' \
+      | grep -v '/lib/serve/verbs\.ml:' || true)
+bad=$(filter_allowed "$bad")
+if [ -n "$bad" ]; then
+  echo 'lint_globals: verb decision outside lib/serve/verbs.ml (call Treediff_serve.Verbs instead):' >&2
   printf '%s\n' "$bad" >&2
   status=1
 fi
