@@ -1,4 +1,4 @@
-.PHONY: all build lint check test bench bench-quick doc clean examples fault-tests store-tests par-tests bench-parallel sim-tests bench-sim bench-compare analyze-tests bench-check serve-tests bench-serve bench-store bench-store-scale ci ci-bench-compare ci-serve-compare ci-store-scale-compare
+.PHONY: all build lint check test bench bench-quick doc clean examples fault-tests store-tests par-tests bench-parallel sim-tests bench-sim bench-compare bench-ab analyze-tests bench-check serve-tests bench-serve bench-store bench-store-scale ci ci-bench-compare ci-serve-compare ci-store-scale-compare
 
 all: build
 
@@ -164,6 +164,16 @@ NEW = BENCH_indexed.json
 MAX_REGRESS = 10
 bench-compare:
 	tools/bench_compare.sh $(OLD) $(NEW) --max-regress $(MAX_REGRESS)
+
+# A/B run of the end-to-end benchmark on two revisions, alternating per
+# seed; prints each end-to-end metric's median and min-max per side, e.g.
+#   make bench-ab REV_A=HEAD~1 REV_B=HEAD WORKLOAD=doc-revise SEEDS="11 12 13 14 15"
+REV_A = HEAD~1
+REV_B = HEAD
+WORKLOAD = doc-revise
+SEEDS = 1 2 3 4 5
+bench-ab:
+	tools/bench_ab.sh $(REV_A) $(REV_B) $(WORKLOAD) "$(SEEDS)"
 
 # Interference analyzer ns/op, the minimality oracle's node-budget cost
 # curve, and oracle-audited minimality rates; writes BENCH_check.json (the

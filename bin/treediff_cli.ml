@@ -337,38 +337,45 @@ type batch_item = {
   b_new : string;
 }
 
+(* Accept STEM.old.EXT and pair it with STEM.new.EXT.  A pair is named by
+   its stem; stems shared by pairs of different extensions keep the
+   extension (a.sexp, a.txt) so their outputs and status lines stay apart. *)
 let collect_dir dir =
   let entries = Sys.readdir dir in
   Array.sort compare entries;
-  Array.to_list entries
-  |> List.filter_map (fun entry ->
-         match String.index_opt entry '.' with
-         | None -> None
-         | Some _ ->
-           (* accept X.old.EXT and pair it with X.new.EXT *)
+  let found =
+    Array.to_list entries
+    |> List.filter_map (fun entry ->
            let rec find_marker from =
              match String.index_from_opt entry from '.' with
              | None -> None
              | Some i ->
-               if
-                 i + 4 < String.length entry
-                 && String.sub entry i 5 = ".old."
-               then Some i
+               if i + 4 < String.length entry && String.sub entry i 5 = ".old." then
+                 Some i
                else find_marker (i + 1)
            in
-           (match find_marker 0 with
-           | None -> None
-           | Some i ->
-             let stem = String.sub entry 0 i in
-             let ext = String.sub entry (i + 5) (String.length entry - i - 5) in
-             let new_name = Printf.sprintf "%s.new.%s" stem ext in
-             Some
-               {
-                 b_name = stem;
-                 b_stem = stem;
-                 b_old = Filename.concat dir entry;
-                 b_new = Filename.concat dir new_name;
-               }))
+           Option.map
+             (fun i ->
+               ( String.sub entry 0 i,
+                 String.sub entry (i + 5) (String.length entry - i - 5),
+                 entry ))
+             (find_marker 0))
+  in
+  let uses = Hashtbl.create 16 in
+  List.iter
+    (fun (stem, _, _) ->
+      Hashtbl.replace uses stem (1 + Option.value ~default:0 (Hashtbl.find_opt uses stem)))
+    found;
+  List.map
+    (fun (stem, ext, entry) ->
+      let name = if Hashtbl.find uses stem > 1 then stem ^ "." ^ ext else stem in
+      {
+        b_name = name;
+        b_stem = name;
+        b_old = Filename.concat dir entry;
+        b_new = Filename.concat dir (Printf.sprintf "%s.new.%s" stem ext);
+      })
+    found
 
 let collect_manifest path =
   let base = Filename.dirname path in
@@ -419,9 +426,6 @@ let run_batch input format lenient jobs approx sim_threshold sim_top_k mode
         | exception Sys_error m -> (item, Error m))
       items
   in
-  let pairs =
-    Array.of_list (List.filter_map (fun (_, r) -> Result.to_option r) parsed)
-  in
   (* One context per pair, budgets rearmed per pair: a straggler degrades
      alone instead of starving its successors. *)
   let execs _ =
@@ -429,49 +433,46 @@ let run_batch input format lenient jobs approx sim_threshold sim_top_k mode
     | Some e -> e
     | None -> Treediff_util.Exec.create ()
   in
-  let outcomes = Treediff.Batch.run ~config ~execs ?jobs pairs in
-  let next = ref 0 (* outcomes are in the order of the parsed pairs *) in
+  let answers = Verbs.batch ~config ~execs ?jobs (List.map snd parsed) in
   (match out_dir with
   | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
   | _ -> ());
   let severity = ref 0 in
   let bump code = if code > !severity then severity := code in
-  List.iter
-    (fun (item, parse_result) ->
-      match parse_result with
-      | Error m ->
+  List.iter2
+    (fun (item, _) answer ->
+      (* [text] is rendered only when there is a directory to write to *)
+      let out ext text =
+        let file dir = Filename.concat dir (item.b_stem ^ "." ^ ext) in
+        Option.iter (fun dir -> write_out (Some (file dir)) (text ())) out_dir
+      in
+      let ops (r : Treediff.Diff.t) =
+        Treediff_edit.Script.unweighted r.Treediff.Diff.measure
+      in
+      match answer with
+      | Verbs.Pair_unparsed m ->
         bump exit_parse_error;
         Printf.printf "parse-error  %s: %s\n" item.b_name m
-      | Ok _ -> (
-        (* [text] is rendered only when there is a directory to write to *)
-        let out ext text =
-          let file dir = Filename.concat dir (item.b_stem ^ "." ^ ext) in
-          Option.iter (fun dir -> write_out (Some (file dir)) (text ())) out_dir
-        in
-        let ops (r : Treediff.Diff.t) =
-          Treediff_edit.Script.unweighted r.Treediff.Diff.measure
-        in
-        let outcome = outcomes.(!next) in
-        incr next;
-        match Verbs.classify outcome with
-        | Verbs.Pair_ok r ->
-          Printf.printf "ok           %s (%d ops, cost %.2f)\n" item.b_name (ops r)
-            r.Treediff.Diff.measure.Treediff_edit.Script.cost;
-          out (Verbs.mode_name mode) (fun () -> Verbs.render mode r)
-        | Verbs.Pair_degraded (r, rung) ->
-          bump exit_degraded;
-          Printf.printf "degraded     %s (%s rung, %d ops, verified)\n"
-            item.b_name rung (ops r);
-          out (Verbs.mode_name mode) (fun () -> Verbs.render mode r)
-        | Verbs.Pair_failed (f, reason) ->
-          bump exit_internal;
-          Printf.printf "failed       %s: %s\n" item.b_name reason;
-          out "flat" (fun () -> Treediff_textdiff.Line_diff.render f.Treediff.Diff.flat)))
-    parsed;
+      | Verbs.Pair_ok r ->
+        Printf.printf "ok           %s (%d ops, cost %.2f)\n" item.b_name (ops r)
+          r.Treediff.Diff.measure.Treediff_edit.Script.cost;
+        out (Verbs.mode_name mode) (fun () -> Verbs.render mode r)
+      | Verbs.Pair_degraded (r, rung) ->
+        bump exit_degraded;
+        Printf.printf "degraded     %s (%s rung, %d ops, verified)\n"
+          item.b_name rung (ops r);
+        out (Verbs.mode_name mode) (fun () -> Verbs.render mode r)
+      | Verbs.Pair_failed (f, reason) ->
+        bump exit_internal;
+        Printf.printf "failed       %s: %s\n" item.b_name reason;
+        out "flat" (fun () -> Treediff_textdiff.Line_diff.render f.Treediff.Diff.flat))
+    parsed answers;
+  let count f = List.length (List.filter f answers) in
   Printf.eprintf "treediff: batch: %d pairs (%d parsed), %d degraded, %d failed\n"
-    (List.length parsed) (Array.length pairs)
-    (Treediff.Batch.degraded_count outcomes)
-    (Treediff.Batch.failed_count outcomes);
+    (List.length parsed)
+    (count (function Verbs.Pair_unparsed _ -> false | _ -> true))
+    (count (function Verbs.Pair_degraded _ -> true | _ -> false))
+    (count (function Verbs.Pair_failed _ -> true | _ -> false));
   if !severity > 0 then exit !severity
 
 let batch_input =

@@ -164,13 +164,11 @@ let parse_tree_param ~fmt ~lenient name params =
   | Error m -> raise (Bad_params (Printf.sprintf "%s: parse error: %s" name m))
 
 (* The old/new pair, parsed by the verb layer exactly as the CLI parses it. *)
-let parse_pair ~fmt ~lenient ?(where = "") params =
-  let old_src = str_param ~where "old" params in
-  let new_src = str_param ~where "new" params in
+let parse_pair ~fmt ~lenient params =
+  let old_src = str_param "old" params and new_src = str_param "new" params in
   match Verbs.parse_pair ~lenient fmt ~old_src ~new_src with
   | pair -> pair
-  | exception Doc_format.Parse_error m ->
-    raise (Bad_params (where ^ "parse error: " ^ m))
+  | exception Doc_format.Parse_error m -> raise (Bad_params ("parse error: " ^ m))
 
 (* ------------------------------------------------------------ diff verb *)
 
@@ -295,11 +293,17 @@ let run_batch t ~pressure ~deadline_ms req =
   in
   let fmt = format_of_params params in
   let lenient = lenient_of_params params in
-  let pairs =
+  (* A missing field is a malformed request; a pair whose text does not
+     parse is answered in its place, as `treediff batch` reports it. *)
+  let parsed =
     List.mapi
-      (fun i p -> parse_pair ~fmt ~lenient ~where:(Printf.sprintf "pairs[%d]: " i) p)
+      (fun i p ->
+        let where = Printf.sprintf "pairs[%d]: " i in
+        let old_src = str_param ~where "old" p and new_src = str_param ~where "new" p in
+        match Verbs.parse_pair ~lenient fmt ~old_src ~new_src with
+        | pair -> Ok pair
+        | exception Doc_format.Parse_error m -> Error m)
       pairs_json
-    |> Array.of_list
   in
   let jobs =
     match Json.mem_num "jobs" params with
@@ -311,7 +315,8 @@ let run_batch t ~pressure ~deadline_ms req =
      allowance: the whole batch is one admitted unit, so one deadline
      bounds each member rather than being re-granted per pair. *)
   let execs _ = Exec.create ~budget:(Budget.make ~deadline_ms ()) () in
-  let outcomes = Treediff.Batch.run ~config ~execs ?jobs pairs in
+  let answers = Verbs.batch ~config ~execs ?jobs parsed in
+  let count f = List.length (List.filter f answers) in
   let ok status (r : Diff.t) extra =
     Json.Obj
       ([
@@ -322,24 +327,26 @@ let run_batch t ~pressure ~deadline_ms req =
       @ extra)
   in
   let results =
-    Array.to_list outcomes
-    |> List.map (fun outcome ->
-           match Verbs.classify outcome with
-           | Verbs.Pair_ok r -> ok "ok" r []
-           | Verbs.Pair_degraded (r, rung) ->
-             ok "degraded" r [ ("rung", Json.Str rung) ]
-           | Verbs.Pair_failed (_, reason) ->
-             Json.Obj
-               [ ("status", Json.Str "failed"); ("reason", Json.Str reason) ])
+    List.map
+      (function
+        | Verbs.Pair_ok r -> ok "ok" r []
+        | Verbs.Pair_degraded (r, rung) -> ok "degraded" r [ ("rung", Json.Str rung) ]
+        | Verbs.Pair_failed (_, reason) ->
+          Json.Obj [ ("status", Json.Str "failed"); ("reason", Json.Str reason) ]
+        | Verbs.Pair_unparsed m ->
+          Json.Obj [ ("status", Json.Str "parse-error"); ("reason", Json.Str m) ])
+      answers
   in
-  let n_degraded = Treediff.Batch.degraded_count outcomes in
+  let n_degraded = count (function Verbs.Pair_degraded _ -> true | _ -> false) in
   if n_degraded > 0 then t.degraded <- t.degraded + 1;
+  let num n = Json.Num (float_of_int n) in
   Ok
     (Json.Obj
        [
-         ("pairs", Json.Num (float_of_int (Array.length pairs)));
-         ("degraded", Json.Num (float_of_int n_degraded));
-         ("failed", Json.Num (float_of_int (Treediff.Batch.failed_count outcomes)));
+         ("pairs", num (List.length answers));
+         ("degraded", num n_degraded);
+         ("failed", num (count (function Verbs.Pair_failed _ -> true | _ -> false)));
+         ("parse_errors", num (count (function Verbs.Pair_unparsed _ -> true | _ -> false)));
          ("results", Json.Arr results);
        ])
 

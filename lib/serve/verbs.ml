@@ -67,6 +67,7 @@ type pair =
   | Pair_ok of Diff.t
   | Pair_degraded of Diff.t * string
   | Pair_failed of Diff.failure * string
+  | Pair_unparsed of string
 
 let classify : Treediff.Batch.outcome -> pair = function
   | Ok r -> (
@@ -76,6 +77,21 @@ let classify : Treediff.Batch.outcome -> pair = function
   | Error f ->
     let reason = match f.Diff.attempts with (_, r) :: _ -> r | [] -> "unknown" in
     Pair_failed (f, reason)
+
+(* The pairs that parsed are diffed together; a pair that did not keeps its
+   place in the answer with its parse error. *)
+let batch ~config ~execs ?jobs parsed =
+  let pairs = Array.of_list (List.filter_map Result.to_option parsed) in
+  let outcomes = Treediff.Batch.run ~config ~execs ?jobs pairs in
+  let next = ref 0 in
+  List.map
+    (function
+      | Error m -> Pair_unparsed m
+      | Ok _ ->
+        let outcome = outcomes.(!next) in
+        incr next;
+        classify outcome)
+    parsed
 
 (* ------------------------------------------------------------------ check *)
 

@@ -49,8 +49,18 @@ type pair =
   | Pair_degraded of Treediff.Diff.t * string  (** verified; the rung's name *)
   | Pair_failed of Treediff.Diff.failure * string
       (** the primary attempt's reason *)
+  | Pair_unparsed of string  (** the parse error; the pair was not diffed *)
 
-val classify : Treediff.Batch.outcome -> pair
+val batch :
+  config:Treediff.Config.t ->
+  execs:(int -> Treediff_util.Exec.t) ->
+  ?jobs:int ->
+  (Treediff_tree.Node.t * Treediff_tree.Node.t, string) result list ->
+  pair list
+(** Diff every parsed pair with {!Treediff.Batch.run} and class each
+    outcome; an [Error m] input answers [Pair_unparsed m] in its place, so
+    one malformed pair never sinks the rest.  [execs i] is the context of
+    the [i]-th parsed pair. *)
 
 type artifact =
   | Self  (** diff the pair under {!config}, then verify the result *)

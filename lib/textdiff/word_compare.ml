@@ -40,20 +40,25 @@ let words s =
   done;
   out
 
-(* Tokenization memo: [words] is a pure function and versioned documents
-   compare the same sentences over and over (the chain LCS in FastMatch
-   probes each pair of nearby sentences), so cache token arrays per input
-   string.  Words are interned to ints on the way in, making the LCS probes
-   integer comparisons.  The cache is flushed wholesale when oversized; both
-   tables are generation-consistent because the flush happens only before
-   either string of a call is looked up.
+(* Tokenization memo: [words] is a pure function, so token arrays are cached
+   per input string.  Words are interned to ints on the way in, making the
+   LCS probes integer comparisons.  The cache is flushed wholesale when
+   oversized; both tables are generation-consistent because the flush
+   happens only before either string of a call is looked up.
+
+   [masks] is the bit-parallel kernel's scratch, indexed by word id: all
+   zero between calls (each call clears exactly the slots it set), grown
+   only when the interned vocabulary outgrows it.
 
    Caches are values, not module state: each execution context (or domain)
    owns its own, so concurrent diffs never share a table. *)
+module Tbl = Hashtbl.Make (String)
+
 module Cache = struct
   type t = {
-    token_tbl : (string, int array) Hashtbl.t;
-    word_ids : (string, int) Hashtbl.t;
+    token_tbl : int array Tbl.t;
+    word_ids : int Tbl.t;
+    mutable masks : int array;
     cap : int;
   }
 
@@ -61,31 +66,79 @@ module Cache = struct
 
   let create ?(cap = default_cap) () =
     if cap < 1 then invalid_arg "Word_compare.Cache.create: cap < 1";
-    { token_tbl = Hashtbl.create 1024; word_ids = Hashtbl.create 1024; cap }
+    {
+      token_tbl = Tbl.create 1024;
+      word_ids = Tbl.create 1024;
+      masks = Array.make 1024 0;
+      cap;
+    }
 
   let clear c =
-    Hashtbl.reset c.token_tbl;
-    Hashtbl.reset c.word_ids
+    Tbl.reset c.token_tbl;
+    Tbl.reset c.word_ids
 
-  let size c = Hashtbl.length c.token_tbl
+  let size c = Tbl.length c.token_tbl
   let cap c = c.cap
 end
 
 let intern_word c w =
-  match Hashtbl.find_opt c.Cache.word_ids w with
+  match Tbl.find_opt c.Cache.word_ids w with
   | Some i -> i
   | None ->
-    let i = Hashtbl.length c.Cache.word_ids in
-    Hashtbl.replace c.Cache.word_ids w i;
+    let i = Tbl.length c.Cache.word_ids in
+    Tbl.replace c.Cache.word_ids w i;
     i
 
 let tokens c s =
-  match Hashtbl.find_opt c.Cache.token_tbl s with
+  match Tbl.find_opt c.Cache.token_tbl s with
   | Some a -> a
   | None ->
     let a = Array.map (intern_word c) (words s) in
-    Hashtbl.replace c.Cache.token_tbl s a;
+    Tbl.replace c.Cache.token_tbl s a;
     a
+
+(* Longest word sequence the bit-parallel kernel takes: one bit per word of
+   the shorter sentence, inside OCaml's 63-bit int. *)
+let word_bits = 62
+
+(* Allison–Dix / Hyyrö bit-parallel LCS length.  Bit [i] of [masks.(w)] is
+   set iff [short.(i) = w]; [v] starts all ones over [m] bits and each word
+   of [long] turns off at most one more bit, so the LCS length is the number
+   of zero bits left.  Requires [Array.length short <= word_bits]; at 62,
+   [full] is [max_int] and [v + u] may wrap, which leaves the low bits the
+   scan keeps intact. *)
+let bit_lcs_length masks short long =
+  let m = Array.length short in
+  for i = 0 to m - 1 do
+    let w = short.(i) in
+    masks.(w) <- masks.(w) lor (1 lsl i)
+  done;
+  let full = (1 lsl m) - 1 in
+  let v = ref full in
+  for j = 0 to Array.length long - 1 do
+    let u = !v land masks.(long.(j)) in
+    v := ((!v + u) lor (!v - u)) land full
+  done;
+  for i = 0 to m - 1 do
+    masks.(short.(i)) <- 0
+  done;
+  let zeros = ref (lnot !v land full) and c = ref 0 in
+  while !zeros <> 0 do
+    zeros := !zeros land (!zeros - 1);
+    incr c
+  done;
+  !c
+
+let lcs_length cache wa wb =
+  let short, long = if Array.length wa <= Array.length wb then (wa, wb) else (wb, wa) in
+  if Array.length short > word_bits then
+    Treediff_lcs.Myers.lcs_length ~equal:Int.equal wa wb
+  else begin
+    let nwords = Tbl.length cache.Cache.word_ids in
+    if Array.length cache.Cache.masks < nwords then
+      cache.Cache.masks <- Array.make (max nwords (2 * Array.length cache.Cache.masks)) 0;
+    bit_lcs_length cache.Cache.masks short long
+  end
 
 let distance_with cache a b =
   (* Equal strings tokenize identically, so the LCS is total and the
@@ -98,7 +151,7 @@ let distance_with cache a b =
     let na = Array.length wa and nb = Array.length wb in
     if na = 0 && nb = 0 then 0.0
     else
-      let c = Treediff_lcs.Myers.lcs_length ~equal:Int.equal wa wb in
+      let c = lcs_length cache wa wb in
       float_of_int (na + nb - (2 * c)) /. float_of_int (max na nb)
   end
 

@@ -9,6 +9,15 @@
     length); the [≤ f ≤ 1] matching threshold of Criterion 1 then demands
     that at least about half the words survive.
 
+    The LCS length is computed bit-parallel (Allison–Dix / Hyyrö): when the
+    shorter sentence has at most 62 words, one bit per word of it in an
+    OCaml [int], each word of the longer sentence costs a handful of word
+    operations, and the LCS length is the number of zero bits left.  The
+    per-word position masks live in a scratch array of the {!Cache}, so a
+    call allocates nothing.  Pairs where both sentences are longer use
+    {!Treediff_lcs.Myers.lcs_length}.  Either way the result is the same
+    float the formula above gives.
+
     Tokenisation and word-interning results are memoized in a {!Cache}: an
     explicit value, never module state.  {!distance} uses a per-domain
     default cache (safe under domains, bounded by {!Cache.default_cap});

@@ -230,6 +230,53 @@ let test_exit_budget_fault_is_3 () =
   in
   Alcotest.(check int) "deadline-cause failure exits 3" 3 code
 
+(* Two pairs share a stem but not an extension: each keeps its extension in
+   its name, so both outputs are written and the status lines differ; a
+   stem used once keeps its bare name. *)
+let test_batch_stem_collision () =
+  let dir = Filename.temp_file "treediff_batch" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let write name text =
+    let oc = open_out_bin (Filename.concat dir name) in
+    Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc text)
+  in
+  write "a.old.sexp" {|(D (P (S "one two three four")))|};
+  write "a.new.sexp" {|(D (P (S "one two three five")))|};
+  write "a.old.txt" {|(D (P (S "alpha beta")))|};
+  write "a.new.txt" {|(D (P (S "gamma delta")))|};
+  write "b.old.sexp" {|(D (S "x"))|};
+  write "b.new.sexp" {|(D (S "y"))|};
+  let out = Filename.concat dir "out" in
+  let code, status =
+    run (Printf.sprintf "%s batch %s -o %s -m script --jobs 1" (bin "treediff_cli") dir out)
+  in
+  Alcotest.(check int) "exit 0" 0 code;
+  let names =
+    String.split_on_char '\n' status
+    |> List.filter_map (fun l ->
+           match String.split_on_char ' ' l |> List.filter (( <> ) "") with
+           | "ok" :: name :: _ -> Some name
+           | _ -> None)
+  in
+  Alcotest.(check (list string)) "status names" [ "a.sexp"; "a.txt"; "b" ] names;
+  let outputs = Sys.readdir out in
+  Array.sort compare outputs;
+  Alcotest.(check (array string)) "one output per pair"
+    [| "a.sexp.script"; "a.txt.script"; "b.script" |] outputs;
+  let diff_of ext =
+    snd
+      (run
+         (Printf.sprintf "%s diff %s %s -m script" (bin "treediff_cli")
+            (Filename.concat dir ("a.old." ^ ext))
+            (Filename.concat dir ("a.new." ^ ext))))
+  in
+  Alcotest.(check string) "a.sexp holds its own pair" (diff_of "sexp")
+    (read_file (Filename.concat out "a.sexp.script"));
+  Alcotest.(check string) "a.txt holds its own pair" (diff_of "txt")
+    (read_file (Filename.concat out "a.txt.script"));
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
+
 let test_ladiff_lenient () =
   let o = tmp_file "\\begin{itemize} no item ever" and n = tmp_file "fine text.\n" in
   let code, _ =
@@ -258,6 +305,8 @@ let () =
           Alcotest.test_case "diff/apply round-trip" `Quick test_treediff_roundtrip_sexp;
           Alcotest.test_case "xml input" `Quick test_treediff_xml;
           Alcotest.test_case "zhang-shasha flag" `Quick test_treediff_zs_flag;
+          Alcotest.test_case "batch names pairs that share a stem apart" `Quick
+            test_batch_stem_collision;
         ] );
       ( "check",
         [

@@ -202,6 +202,62 @@ let test_one_word_update () =
   Alcotest.(check bool) "stats report comparisons" true
     (List.exists (starts "comparisons:") (lines "stats"))
 
+(* One truncated s-expression among valid pairs: both batch entry points
+   report that pair as a parse error, with the same message, and diff the
+   others exactly as `treediff diff` does. *)
+let test_batch_parse_error () =
+  let t = bin "treediff_cli" in
+  let dir = tmp_dir "broken" in
+  let broken = {|(D (P (S "The quick brown fox|} in
+  let pairs = [ ("a", fox_old, fox_new); ("b", broken, fox_new); ("c", fox_new, fox_old) ] in
+  List.iter
+    (fun (stem, o, n) ->
+      write_file (Filename.concat dir (stem ^ ".old.sexp")) o;
+      write_file (Filename.concat dir (stem ^ ".new.sexp")) n)
+    pairs;
+  let code, status = run (Printf.sprintf "%s batch %s --jobs 1" t dir) in
+  Alcotest.(check int) "batch exit is the parse error's" 2 code;
+  let body =
+    ok_body
+      (handle (Handler.create ()) "batch"
+         (Json.Obj
+            [
+              ("pairs",
+               Json.Arr
+                 (List.map
+                    (fun (_, o, n) -> Json.Obj [ ("old", Json.Str o); ("new", Json.Str n) ])
+                    pairs));
+            ]))
+  in
+  Alcotest.(check (option (float 0.))) "one parse error counted" (Some 1.)
+    (Json.mem_num "parse_errors" body);
+  let results =
+    Option.value ~default:[] (Option.bind (Json.member "results" body) Json.arr)
+  in
+  Alcotest.(check int) "one result per pair" 3 (List.length results);
+  List.iteri
+    (fun i (stem, _, _) ->
+      let r = List.nth results i in
+      let line = List.nth (String.split_on_char '\n' status) i in
+      if stem = "b" then begin
+        Alcotest.(check (option string)) "status" (Some "parse-error") (Json.mem_str "status" r);
+        let reason = Option.value ~default:"" (Json.mem_str "reason" r) in
+        Alcotest.(check string) "the CLI's status line" line
+          (Printf.sprintf "parse-error  b: %s" reason)
+      end
+      else begin
+        let _, cli =
+          run
+            (Printf.sprintf "%s diff %s %s -m script" t
+               (Filename.concat dir (stem ^ ".old.sexp"))
+               (Filename.concat dir (stem ^ ".new.sexp")))
+        in
+        Alcotest.(check (option string)) (stem ^ " status") (Some "ok") (Json.mem_str "status" r);
+        Alcotest.(check (option string)) (stem ^ " output") (Some cli) (Json.mem_str "output" r)
+      end)
+    pairs;
+  rm_rf dir
+
 (* --------------------------------------------------------- store doc policy *)
 
 (* A single-file archive refuses a doc name and a corpus needs one, with
@@ -270,6 +326,8 @@ let () =
             test_render_parity;
           quick "one-word update is one UPD; stats count comparisons"
             test_one_word_update;
+          quick "a malformed pair is a per-pair parse error in both batches"
+            test_batch_parse_error;
         ] );
       ("store", [ quick "doc policy from the CLI and the daemon" test_doc_policy ]);
     ]

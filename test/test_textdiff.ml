@@ -56,6 +56,89 @@ let distance_properties =
       && Float.abs (d -. W.distance s2 s1) < 1e-9
       && (d > 0.0 || W.words s1 = W.words s2))
 
+(* Exactness of the compare kernel: [distance_with] must return the very
+   float the textbook formula gives, [(n₁ + n₂ − 2·LCS) / max(n₁, n₂)] with
+   the LCS from the O(nm) [Dp] oracle.  The inputs straddle the kernel's
+   62-word limit on either side, repeat words from small vocabularies (the
+   case that stresses the mask bits), and mix in empty, punctuation-only
+   and multibyte UTF-8 sentences. *)
+let reference a b =
+  let wa = W.words a and wb = W.words b in
+  let na = Array.length wa and nb = Array.length wb in
+  if na = 0 && nb = 0 then 0.0
+  else
+    let c = Treediff_lcs.Dp.lcs_length ~equal:String.equal wa wb in
+    float_of_int (na + nb - (2 * c)) /. float_of_int (max na nb)
+
+let vocabulary =
+  [| "the"; "Cat"; "sat"; "caf\xc3\xa9"; "d\xc3\xa9j\xc3\xa0"; "re-do"; "don't"; "42";
+     "\xe2\x88\x80x" |]
+
+let separators = [| " "; ", "; "; "; " \xe2\x80\x94 "; "\n"; "(" |]
+
+(* A sentence of [n] words from the first [k] vocabulary entries. *)
+let sentence g ~k n =
+  let b = Buffer.create (8 * n) in
+  for i = 0 to n - 1 do
+    if i > 0 then Buffer.add_string b (P.pick g separators);
+    Buffer.add_string b vocabulary.(P.int g k)
+  done;
+  if P.chance g 0.3 then Buffer.add_string b ".";
+  Buffer.contents b
+
+let odd_sentences = [| ""; "   "; "..."; ", ; --"; "!?"; "\xc3\xa9"; "x" |]
+
+(* A small cache that flushes every few calls, a second one interleaved with
+   it, and the per-domain default: every call must agree with the oracle, so
+   a mask bit left set by one call (or by a call on the other cache) would
+   show as a wrong distance in a later one. *)
+let small_cache = W.Cache.create ~cap:50 ()
+let other_cache = W.Cache.create ()
+
+let exact a b =
+  let r = reference a b in
+  let ok d = Float.equal d r in
+  ok (W.distance_with small_cache a b)
+  && ok (W.distance_with other_cache b a)
+  && ok (W.distance a b)
+  && ok (W.distance_with small_cache b a)
+
+let test_exact_straddle () =
+  let g = P.create 62 in
+  let sizes = [ 0; 1; 30; 61; 62; 63; 64; 90; 140 ] in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun na ->
+          List.iter
+            (fun nb ->
+              for _ = 1 to 3 do
+                let a = sentence g ~k na and b = sentence g ~k nb in
+                if not (exact a b) then
+                  Alcotest.failf "k=%d %d×%d words: %f, expected %f" k na nb
+                    (W.distance_with small_cache a b) (reference a b)
+              done)
+            sizes)
+        sizes)
+    [ 3; 5; 9 ];
+  Array.iter
+    (fun o ->
+      Array.iter
+        (fun s -> if not (exact o s && exact s o) then Alcotest.failf "%S vs %S" o s)
+        (Array.append odd_sentences [| sentence g ~k:4 62; sentence g ~k:4 63 |]))
+    odd_sentences;
+  Alcotest.(check bool) "the small cache flushed" true (W.Cache.size small_cache <= 51)
+
+let exactness_prop =
+  QCheck2.Test.make ~name:"distance_with equals the Dp reference" ~count:400
+    QCheck2.Gen.(
+      let len = frequency [ (4, int_range 0 20); (3, int_range 58 67); (1, int_range 63 140) ] in
+      quad (int_range 3 9) len len int)
+    (fun (k, na, nb, seed) ->
+      let g = P.create seed in
+      let a = sentence g ~k na and b = sentence g ~k nb in
+      exact a b)
+
 (* ------------------------------------------------------------ levenshtein *)
 
 let test_levenshtein_known () =
@@ -151,6 +234,8 @@ let () =
           Alcotest.test_case "range" `Quick test_distance_range;
           Alcotest.test_case "paper semantics" `Quick test_paper_semantics;
           QCheck_alcotest.to_alcotest distance_properties;
+          Alcotest.test_case "exact across the 62-word limit" `Quick test_exact_straddle;
+          QCheck_alcotest.to_alcotest exactness_prop;
         ] );
       ( "levenshtein",
         [
